@@ -21,6 +21,7 @@ import hashlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,6 +78,15 @@ class RunConfig:
     rho: float = 1e-4
     every_k: int = 10
 
+    def __post_init__(self):
+        # checked here so a bad picking setting fails before any optimization runs
+        if len(self.weights) != 3 or not all(w > 0 for w in self.weights):
+            raise ValueError("weights must be three positive numbers")
+        if not self.rho > 0:
+            raise ValueError("rho must be > 0")
+        if self.every_k < 1:
+            raise ValueError("every_k must be >= 1")
+
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -94,15 +104,6 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
 
-def _parse_weights(text: str) -> tuple[float, float, float]:
-    parts = [float(t) for t in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError("weights must be three comma-separated numbers")
-    if any(w <= 0 for w in parts):
-        raise ValueError("weights must be positive")
-    return tuple(parts)
-
-
 def _parse_optional_prob(text: str):
     low = text.strip().lower()
     if low in ("", "auto", "none"):
@@ -110,35 +111,71 @@ def _parse_optional_prob(text: str):
     return float(text)
 
 
-# config-file key -> (target, field name, parser)
-_KEY_TABLE = {
-    "dem_path": ("top", "dem_path", str),
-    "output_dir": ("top", "output_dir", str),
-    "write_snapshot_rasters": ("top", "write_snapshot_rasters", _parse_bool),
-    "weights": ("top", "weights", _parse_weights),
-    "rho": ("top", "rho", float),
-    "every_k": ("top", "every_k", int),
-    "manning_n": ("hydro", "manning_n", float),
-    "channel_width": ("hydro", "channel_width", float),
-    "rain_intensity": ("hydro", "rain_intensity", float),
-    "threshold_fraction": ("hydro", "accumulation_threshold_fraction", float),
-    "fill_epsilon": ("hydro", "fill_epsilon", float),
-    "slope_as_percent": ("hydro", "slope_as_percent", _parse_bool),
-    "unit_price": ("cost", "unit_price", float),
-    "cell_area": ("cost", "cell_area", float),
-    "population": ("optimizer", "population_size", int),
-    "offspring": ("optimizer", "offspring_size", int),
-    "generations": ("optimizer", "generations", int),
-    "crossover_probability": ("optimizer", "crossover_probability", float),
-    "crossover_eta": ("optimizer", "crossover_eta", float),
-    "mutation_probability": ("optimizer", "mutation_probability", _parse_optional_prob),
-    "mutation_eta": ("optimizer", "mutation_eta", float),
-    "seed": ("optimizer", "rng_seed", int),
-    "lower_bound": ("optimizer", "lower_bound", float),
-    "upper_bound": ("optimizer", "upper_bound", float),
-    "seed_with_zero_plan": ("optimizer", "seed_with_zero_plan", _parse_bool),
-    "snapshot_generations": ("optimizer", "snapshot_generations", _parse_int_tuple),
-}
+class _Codec(NamedTuple):
+    """How one value is read from and written to the flat config format."""
+
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+
+
+_TEXT = _Codec(str, str)
+_INT = _Codec(int, str)
+_FLOAT = _Codec(float, _format_value)
+_BOOL = _Codec(_parse_bool, lambda flag: str(flag).lower())
+_INTS = _Codec(_parse_int_tuple, lambda values: ",".join(str(v) for v in values))
+_FLOATS = _Codec(
+    lambda text: tuple(float(t) for t in text.split(",")),
+    lambda values: ",".join(_format_value(v) for v in values),
+)
+_AUTO_PROB = _Codec(_parse_optional_prob, lambda p: "auto" if p is None else _format_value(p))
+
+
+class _Key(NamedTuple):
+    """One configuration key: where it lands in RunConfig and how it is spelled."""
+
+    name: str  # config-file and manifest key
+    target: str  # "top" (RunConfig itself), "hydro", "cost" or "optimizer"
+    field: str
+    codec: _Codec
+    flag: Optional[str] = None  # command-line spelling, if the key has a flag
+    help: Optional[str] = None
+
+
+# The one list of configuration keys; its order is the manifest's line order.
+_SCHEMA = (
+    _Key("dem_path", "top", "dem_path", _TEXT, "--dem", "input DEM (ESRI ASCII grid)"),
+    _Key("output_dir", "top", "output_dir", _TEXT, "--out", "output directory"),
+    _Key("manning_n", "hydro", "manning_n", _FLOAT, "--manning-n"),
+    _Key("channel_width", "hydro", "channel_width", _FLOAT),
+    _Key("rain_intensity", "hydro", "rain_intensity", _FLOAT, "--rain-intensity"),
+    _Key("threshold_fraction", "hydro", "accumulation_threshold_fraction", _FLOAT,
+         "--threshold-fraction"),
+    _Key("fill_epsilon", "hydro", "fill_epsilon", _FLOAT),
+    _Key("slope_as_percent", "hydro", "slope_as_percent", _BOOL),
+    _Key("unit_price", "cost", "unit_price", _FLOAT, "--unit-price"),
+    _Key("cell_area", "cost", "cell_area", _FLOAT),
+    _Key("population", "optimizer", "population_size", _INT, "--population"),
+    _Key("offspring", "optimizer", "offspring_size", _INT, "--offspring"),
+    _Key("generations", "optimizer", "generations", _INT, "--generations"),
+    _Key("crossover_probability", "optimizer", "crossover_probability", _FLOAT),
+    _Key("crossover_eta", "optimizer", "crossover_eta", _FLOAT),
+    _Key("mutation_probability", "optimizer", "mutation_probability", _AUTO_PROB),
+    _Key("mutation_eta", "optimizer", "mutation_eta", _FLOAT),
+    _Key("seed", "optimizer", "rng_seed", _INT, "--seed", "optimizer RNG seed"),
+    _Key("lower_bound", "optimizer", "lower_bound", _FLOAT),
+    _Key("upper_bound", "optimizer", "upper_bound", _FLOAT),
+    _Key("seed_with_zero_plan", "optimizer", "seed_with_zero_plan", _BOOL),
+    _Key("snapshot_generations", "optimizer", "snapshot_generations", _INTS),
+    _Key("write_snapshot_rasters", "top", "write_snapshot_rasters", _BOOL),
+    _Key("weights", "top", "weights", _FLOATS, "--weights",
+         "three comma-separated positive weights"),
+    _Key("rho", "top", "rho", _FLOAT, "--rho", "AASF augmentation coefficient"),
+    _Key("every_k", "top", "every_k", _INT, "--every-k", "sampling interval"),
+)
+_SCHEMA_BY_NAME = {key.name: key for key in _SCHEMA}
+
+# the keys 'pick' may override; every other key comes from the stored run
+_PICK_KEYS = ("weights", "rho", "every_k")
 
 
 def read_flat_config(path: Path) -> dict[str, str]:
@@ -163,51 +200,37 @@ _RESERVED_PREFIX = "result_"
 
 def build_run_config(raw: dict[str, str], *, ignore_unknown: bool = False) -> RunConfig:
     """Turn flat key/value strings into a validated RunConfig."""
-    top: dict = {}
-    parts: dict[str, dict] = {"hydro": {}, "cost": {}, "optimizer": {}}
-    for key, text in raw.items():
-        if key in _RESERVED_KEYS or key.startswith(_RESERVED_PREFIX):
+    fields: dict[str, dict] = {"top": {}, "hydro": {}, "cost": {}, "optimizer": {}}
+    for name, text in raw.items():
+        if name in _RESERVED_KEYS or name.startswith(_RESERVED_PREFIX):
             continue
-        entry = _KEY_TABLE.get(key)
-        if entry is None:
+        key = _SCHEMA_BY_NAME.get(name)
+        if key is None:
             if ignore_unknown:
                 continue
-            raise ConfigError(f"unknown configuration key {key!r}")
-        target, field_name, parser = entry
+            raise ConfigError(f"unknown configuration key {name!r}")
         try:
-            value = parser(text)
+            fields[key.target][key.field] = key.codec.parse(text)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-        if target == "top":
-            top[field_name] = value
-        else:
-            parts[target][field_name] = value
+            raise ConfigError(f"bad value for {name!r}: {exc}") from exc
     try:
         return RunConfig(
-            hydro=HydroParams(**parts["hydro"]),
-            cost=CostParams(**parts["cost"]),
-            optimizer=OptimizerConfig(**parts["optimizer"]),
-            **top,
+            hydro=HydroParams(**fields["hydro"]),
+            cost=CostParams(**fields["cost"]),
+            optimizer=OptimizerConfig(**fields["optimizer"]),
+            **fields["top"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-_FLAG_TO_KEY = {
-    "dem": "dem_path",
-    "out": "output_dir",
-    "seed": "seed",
-    "generations": "generations",
-    "population": "population",
-    "offspring": "offspring",
-    "threshold_fraction": "threshold_fraction",
-    "unit_price": "unit_price",
-    "rain_intensity": "rain_intensity",
-    "manning_n": "manning_n",
-    "weights": "weights",
-    "rho": "rho",
-    "every_k": "every_k",
-}
+def _flag_values(args: argparse.Namespace) -> dict[str, str]:
+    """The configuration keys given as command-line flags, as raw strings."""
+    return {
+        key.name: getattr(args, key.name)
+        for key in _SCHEMA
+        if getattr(args, key.name, None) is not None
+    }
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -217,44 +240,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         raw.update(read_flat_config(path))
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            raw[key] = str(value)
+    raw.update(_flag_values(args))
     return build_run_config(raw)
 
 
 def _manifest_lines(cfg: RunConfig) -> list[str]:
-    hp, cp, oc = cfg.hydro, cfg.cost, cfg.optimizer
-    pm = "auto" if oc.mutation_probability is None else _format_value(oc.mutation_probability)
-    return [
-        f"dem_path = {cfg.dem_path}",
-        f"output_dir = {cfg.output_dir}",
-        f"manning_n = {_format_value(hp.manning_n)}",
-        f"channel_width = {_format_value(hp.channel_width)}",
-        f"rain_intensity = {_format_value(hp.rain_intensity)}",
-        f"threshold_fraction = {_format_value(hp.accumulation_threshold_fraction)}",
-        f"fill_epsilon = {_format_value(hp.fill_epsilon)}",
-        f"slope_as_percent = {str(hp.slope_as_percent).lower()}",
-        f"unit_price = {_format_value(cp.unit_price)}",
-        f"cell_area = {_format_value(cp.cell_area)}",
-        f"population = {oc.population_size}",
-        f"offspring = {oc.offspring_size}",
-        f"generations = {oc.generations}",
-        f"crossover_probability = {_format_value(oc.crossover_probability)}",
-        f"crossover_eta = {_format_value(oc.crossover_eta)}",
-        f"mutation_probability = {pm}",
-        f"mutation_eta = {_format_value(oc.mutation_eta)}",
-        f"seed = {oc.rng_seed}",
-        f"lower_bound = {_format_value(oc.lower_bound)}",
-        f"upper_bound = {_format_value(oc.upper_bound)}",
-        f"seed_with_zero_plan = {str(oc.seed_with_zero_plan).lower()}",
-        f"snapshot_generations = {','.join(str(g) for g in oc.snapshot_generations)}",
-        f"write_snapshot_rasters = {str(cfg.write_snapshot_rasters).lower()}",
-        f"weights = {','.join(_format_value(w) for w in cfg.weights)}",
-        f"rho = {_format_value(cfg.rho)}",
-        f"every_k = {cfg.every_k}",
-    ]
+    lines = []
+    for key in _SCHEMA:
+        owner = cfg if key.target == "top" else getattr(cfg, key.target)
+        lines.append(f"{key.name} = {key.codec.format(getattr(owner, key.field))}")
+    return lines
 
 
 def _write_manifest(path: Path, cfg: RunConfig, status: str, extra: list[str] = ()) -> None:
@@ -433,14 +428,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_archive(run_dir: Path) -> tuple[ParetoArchive, RunConfig]:
+def _load_archive(run_dir: Path, overrides: dict[str, str]) -> tuple[ParetoArchive, RunConfig]:
     manifest = run_dir / "manifest.txt"
     pareto = run_dir / "pareto.csv"
     genomes = run_dir / "genomes"
     for required in (manifest, pareto, genomes):
         if not required.exists():
             raise InputError(f"missing run artifact: {required}")
-    cfg = build_run_config(read_flat_config(manifest), ignore_unknown=True)
+    cfg = build_run_config({**read_flat_config(manifest), **overrides}, ignore_unknown=True)
     members = []
     with open(pareto, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -479,40 +474,22 @@ def _load_archive(run_dir: Path) -> tuple[ParetoArchive, RunConfig]:
 
 def cmd_pick(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
-    if args.weights is not None:
-        try:
-            weights_override = _parse_weights(args.weights)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     if not run_dir.is_dir():
         raise InputError(f"run directory not found: {run_dir}")
-    archive, cfg = _load_archive(run_dir)
-    weights = weights_override if args.weights is not None else cfg.weights
-    rho = args.rho if args.rho is not None else cfg.rho
-    every_k = args.every_k if args.every_k is not None else cfg.every_k
+    archive, cfg = _load_archive(run_dir, _flag_values(args))
     base = _load_dem(cfg)
     out_dir = Path(args.out) if args.out else run_dir / "picks"
-    rows = _export_selections(out_dir, base, archive, weights, rho, every_k)
+    rows = _export_selections(out_dir, base, archive, cfg.weights, cfg.rho, cfg.every_k)
     for role, member_id, path_cells, v_max, cost in rows:
         print(f"{role}: id={member_id} path_cells={path_cells} v_max_mps={v_max} cost={cost}")
     return EXIT_OK
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--dem", help="input DEM (ESRI ASCII grid)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="optimizer RNG seed")
-    parser.add_argument("--generations", type=int)
-    parser.add_argument("--population", type=int)
-    parser.add_argument("--offspring", type=int)
-    parser.add_argument("--threshold-fraction", dest="threshold_fraction", type=float)
-    parser.add_argument("--unit-price", dest="unit_price", type=float)
-    parser.add_argument("--rain-intensity", dest="rain_intensity", type=float)
-    parser.add_argument("--manning-n", dest="manning_n", type=float)
-    parser.add_argument("--weights", help="three comma-separated positive weights")
-    parser.add_argument("--rho", type=float, help="AASF augmentation coefficient")
-    parser.add_argument("--every-k", dest="every_k", type=int, help="sampling interval")
+def _add_schema_flags(parser: argparse.ArgumentParser, names: tuple[str, ...] = ()) -> None:
+    """Add the flag of each schema key (only those in ``names``, if given); values stay strings."""
+    for key in _SCHEMA:
+        if key.flag and (not names or key.name in names):
+            parser.add_argument(key.flag, dest=key.name, help=key.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,17 +499,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", help="run the hydrology pipeline on a DEM")
-    _add_common_flags(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_opt = sub.add_parser("optimize", help="run a seeded NSGA-II optimization")
-    _add_common_flags(p_opt)
-    p_opt.set_defaults(func=cmd_optimize)
+    for name, func, help_text in (
+        ("analyze", cmd_analyze, "run the hydrology pipeline on a DEM"),
+        ("optimize", cmd_optimize, "run a seeded NSGA-II optimization"),
+    ):
+        p_run = sub.add_parser(name, help=help_text)
+        p_run.add_argument("--config", help="flat key = value configuration file")
+        _add_schema_flags(p_run)
+        p_run.set_defaults(func=func)
 
     p_pick = sub.add_parser("pick", help="re-run decision picks on a stored run")
     p_pick.add_argument("run_dir", help="directory produced by 'optimize'")
-    _add_common_flags(p_pick)
+    _add_schema_flags(p_pick, _PICK_KEYS)
+    p_pick.add_argument("--out", help="output directory (default RUN_DIR/picks)")
     p_pick.set_defaults(func=cmd_pick)
 
     return parser

@@ -389,11 +389,10 @@ def _verify_archive(archive: ParetoArchive) -> None:
         raise RuntimeError(f"archive inconsistency: member {i} dominates member {j}")
 
 
-def history_csv(history: Sequence[GenerationStats], include_wall_ms: bool = False) -> str:
+def history_csv(history: Sequence[GenerationStats]) -> str:
     """Per-generation history as CSV text (LF line endings, '.' decimals).
 
-    Wall time is excluded by default so that seeded runs serialize
-    byte-identically; pass ``include_wall_ms=True`` for profiling output.
+    Wall time is left out so that seeded runs serialize byte-identically.
     """
     header = [
         "generation",
@@ -405,8 +404,6 @@ def history_csv(history: Sequence[GenerationStats], include_wall_ms: bool = Fals
         "cost_min",
         "cost_max",
     ]
-    if include_wall_ms:
-        header.append("wall_ms")
     lines = [",".join(header)]
     for h in history:
         row = [
@@ -419,7 +416,5 @@ def history_csv(history: Sequence[GenerationStats], include_wall_ms: bool = Fals
             _format_value(h.cost_min),
             _format_value(h.cost_max),
         ]
-        if include_wall_ms:
-            row.append(_format_value(h.wall_ms))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -9,7 +9,6 @@ are reproducible from the seed alone.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .raster import Grid
 
@@ -42,6 +41,9 @@ def synthetic_dem(
     seed : int
         Seed of the noise field.
     """
+    # imported here: scipy.ndimage is slow to import and only this function needs it
+    from scipy.ndimage import gaussian_filter
+
     rows = np.arange(n_rows, dtype=np.float64)[:, None]
     cols = np.arange(n_cols, dtype=np.float64)[None, :]
     plane = base_elevation - east_drop * cols - south_drop * rows

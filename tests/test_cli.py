@@ -1,16 +1,34 @@
 """CLI subcommands: analyze, optimize, pick; exit codes and file contracts."""
 import csv
+import dataclasses
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import terrainopt
 from terrainopt import (
+    CostParams,
     Grid,
+    HydroParams,
+    OptimizerConfig,
     load_ascii_grid,
     save_ascii_grid,
     synthetic_dem,
 )
-from terrainopt.cli import main, plan_checksum
+from terrainopt.cli import (
+    _SCHEMA,
+    RunConfig,
+    _manifest_lines,
+    build_run_config,
+    main,
+    plan_checksum,
+    read_flat_config,
+)
 
 from oracles import scalar_dominates
 
@@ -187,8 +205,6 @@ class TestOptimize:
 
     def test_manifest_reusable_as_config(self, small_run):
         dem_path, run_dir = small_run
-        from terrainopt.cli import build_run_config, read_flat_config
-
         cfg = build_run_config(read_flat_config(run_dir / "manifest.txt"))
         assert cfg.optimizer.rng_seed == 7
         assert cfg.optimizer.population_size == 12
@@ -203,6 +219,19 @@ class TestOptimize:
         ) == 0
         for name in ("pareto.csv", "history.csv"):
             assert (redo / name).read_bytes() == (run_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--rho", "0"], ["--every-k", "0"]])
+    def test_bad_picking_setting_fails_before_optimizing(self, tmp_path, flag, capsys):
+        dem_path = tmp_path / "dem.asc"
+        save_ascii_grid(dem_path, synthetic_dem(6, 6, seed=2))
+        run_dir = tmp_path / "run"
+        code = main(
+            ["optimize", "--dem", str(dem_path), "--out", str(run_dir), "--population", "4",
+             "--offspring", "2", "--generations", "1"] + flag
+        )
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (run_dir / "pareto.csv").exists()
 
     def test_zero_plan_row_present(self, small_run):
         _, run_dir = small_run
@@ -256,7 +285,6 @@ class TestPick:
         run_dir = tmp_path / "fake_run"
         genomes = run_dir / "genomes"
         genomes.mkdir(parents=True)
-        from terrainopt.cli import _manifest_lines, RunConfig, build_run_config
         from terrainopt import plan_to_grid
 
         cfg = RunConfig(dem_path=str(dem_path), output_dir=str(run_dir))
@@ -304,3 +332,118 @@ class TestPick:
     def test_bad_weights_flag_is_config_error(self, small_run, capsys):
         _, run_dir = small_run
         assert main(["pick", str(run_dir), "--weights", "1,2"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--rho", "0"], ["--every-k", "0"], ["--rho", "x"]])
+    def test_bad_rho_or_every_k_flag_is_config_error(self, small_run, flag):
+        _, run_dir = small_run
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")] + flag) == 2
+        assert not (run_dir / "x").exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--dem", "other.asc"], ["--config", "run.cfg"], ["--seed", "99"]]
+    )
+    def test_flags_pick_does_not_use_are_rejected(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["pick", str(tmp_path)] + flag)
+        assert exc.value.code == 2
+
+
+def _unchanged_fields(cfg, default, prefix=""):
+    names = []
+    for field in dataclasses.fields(cfg):
+        value, base = getattr(cfg, field.name), getattr(default, field.name)
+        if dataclasses.is_dataclass(value):
+            names += _unchanged_fields(value, base, f"{prefix}{field.name}.")
+        elif value == base:
+            names.append(prefix + field.name)
+    return names
+
+
+class TestConfigSchema:
+    def test_manifest_round_trips_every_field(self, tmp_path):
+        cfg = RunConfig(
+            dem_path="dems/site.asc",
+            output_dir="runs/b",
+            hydro=HydroParams(
+                manning_n=0.035,
+                channel_width=2.5,
+                rain_intensity=3e-6,
+                accumulation_threshold_fraction=0.125,
+                fill_epsilon=0.0,
+                slope_as_percent=True,
+            ),
+            cost=CostParams(unit_price=12.75, cell_area=25.0),
+            optimizer=OptimizerConfig(
+                population_size=7,
+                offspring_size=3,
+                generations=4,
+                crossover_probability=0.3,
+                crossover_eta=2.5,
+                mutation_probability=0.1,
+                mutation_eta=7.0,
+                rng_seed=2**40 + 1,
+                lower_bound=-0.1,
+                upper_bound=1 / 3,
+                seed_with_zero_plan=False,
+                snapshot_generations=(1, 3),
+            ),
+            write_snapshot_rasters=True,
+            weights=(0.5, 1 / 3, 2.0),
+            rho=0.07,
+            every_k=3,
+        )
+        # a field left at its default could drop out of the manifest unnoticed
+        assert _unchanged_fields(cfg, RunConfig()) == []
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n".join(_manifest_lines(cfg)) + "\n")
+        assert build_run_config(read_flat_config(manifest)) == cfg
+
+    def test_default_manifest_text(self):
+        cfg = RunConfig(dem_path="site.asc", output_dir="runs/a")
+        assert "\n".join(_manifest_lines(cfg)) == (
+            "dem_path = site.asc\n"
+            "output_dir = runs/a\n"
+            "manning_n = 0.1\n"
+            "channel_width = 1\n"
+            "rain_intensity = 1e-05\n"
+            "threshold_fraction = 0.02\n"
+            "fill_epsilon = 1e-05\n"
+            "slope_as_percent = false\n"
+            "unit_price = 100\n"
+            "cell_area = 100\n"
+            "population = 200\n"
+            "offspring = 100\n"
+            "generations = 300\n"
+            "crossover_probability = 0.9\n"
+            "crossover_eta = 15\n"
+            "mutation_probability = auto\n"
+            "mutation_eta = 20\n"
+            "seed = 0\n"
+            "lower_bound = -2\n"
+            "upper_bound = 2\n"
+            "seed_with_zero_plan = true\n"
+            "snapshot_generations = 50,100,200,300\n"
+            "write_snapshot_rasters = false\n"
+            "weights = 1,1,1\n"
+            "rho = 0.0001\n"
+            "every_k = 10"
+        )
+
+    def test_readme_key_table_matches_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration file", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| (.+?) \|", section, flags=re.MULTILINE)
+        documented = dict(rows)
+        assert len(documented) == len(rows)
+        assert set(documented) == {key.name for key in _SCHEMA}
+        for name, default in documented.items():
+            text = "" if default == "—" else default.strip("`")
+            assert build_run_config({name: text}) == RunConfig(), name
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # scipy.ndimage is slow to import and only synthetic_dem needs it
+    src = str(Path(terrainopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, terrainopt.cli; sys.exit('scipy.ndimage' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
