@@ -179,11 +179,14 @@ _PICK_KEYS = ("weights", "rho", "every_k")
 
 
 def read_flat_config(path: Path) -> dict[str, str]:
-    """Read a flat ``key = value`` file; '#' starts a comment."""
+    """Read a flat ``key = value`` file; a line starting with '#' is a comment.
+
+    A '#' later in a line belongs to the value, so paths may contain it.
+    """
     raw = {}
     for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
@@ -428,7 +431,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_archive(run_dir: Path, overrides: dict[str, str]) -> tuple[ParetoArchive, RunConfig]:
+def _load_archive(
+    run_dir: Path, overrides: dict[str, str]
+) -> tuple[ParetoArchive, RunConfig, Grid]:
+    """The stored archive, the run's configuration and its base DEM."""
     manifest = run_dir / "manifest.txt"
     pareto = run_dir / "pareto.csv"
     genomes = run_dir / "genomes"
@@ -436,6 +442,7 @@ def _load_archive(run_dir: Path, overrides: dict[str, str]) -> tuple[ParetoArchi
         if not required.exists():
             raise InputError(f"missing run artifact: {required}")
     cfg = build_run_config({**read_flat_config(manifest), **overrides}, ignore_unknown=True)
+    base = _load_dem(cfg)
     members = []
     with open(pareto, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -443,7 +450,10 @@ def _load_archive(run_dir: Path, overrides: dict[str, str]) -> tuple[ParetoArchi
             if not raster_path.exists():
                 raise InputError(f"missing run artifact: {raster_path}")
             delta_grid = load_ascii_grid(raster_path)
-            plan = delta_grid.values[delta_grid.valid_mask].copy()
+            if delta_grid.shape != base.shape:
+                raise InputError(f"{raster_path}: shape does not match the DEM")
+            # the DEM's mask, not the sentinel: a zero delta may equal the sentinel
+            plan = delta_grid.values[base.valid_mask].copy()
             if plan_checksum(plan) != row["delta_checksum"]:
                 raise InputError(f"corrupt run artifact: {raster_path} fails its checksum")
             members.append(
@@ -469,15 +479,14 @@ def _load_archive(run_dir: Path, overrides: dict[str, str]) -> tuple[ParetoArchi
             else 1.0 / len(members[0].plan)
         ),
     )
-    return archive, cfg
+    return archive, cfg, base
 
 
 def cmd_pick(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise InputError(f"run directory not found: {run_dir}")
-    archive, cfg = _load_archive(run_dir, _flag_values(args))
-    base = _load_dem(cfg)
+    archive, cfg, base = _load_archive(run_dir, _flag_values(args))
     out_dir = Path(args.out) if args.out else run_dir / "picks"
     rows = _export_selections(out_dir, base, archive, cfg.weights, cfg.rho, cfg.every_k)
     for role, member_id, path_cells, v_max, cost in rows:

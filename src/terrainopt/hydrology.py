@@ -16,9 +16,6 @@ deterministic end to end:
   as a dimensionless rise/run fraction.
 * :func:`runoff_velocity` evaluates the Manning-based steady-state
   velocity ``V = [sqrt(S)/n * (Q/B)^(2/3)]^(3/5)`` per cell.
-
-Hot loops are JIT-compiled with numba when it is installed; a pure
-Python path produces identical results otherwise.
 """
 from __future__ import annotations
 
@@ -46,18 +43,8 @@ __all__ = [
     "D8_CODES",
 ]
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap(args[0]) if args and callable(args[0]) else wrap
+# the hydrology kernels are pure Python/numpy; kept for run environment reports
+HAS_NUMBA = False
 
 
 OUTLET = 0
@@ -146,138 +133,48 @@ def _neighbor_values(values: np.ndarray, valid: np.ndarray, dr: int, dc: int, fi
 def _edge_and_nodata_adjacent(valid: np.ndarray) -> np.ndarray:
     """Valid cells on the grid perimeter or 8-adjacent to a nodata cell."""
     h, w = valid.shape
-    seeds = np.zeros((h, w), dtype=bool)
-    seeds[0, :] = seeds[-1, :] = seeds[:, 0] = seeds[:, -1] = True
+    outside = np.ones((h + 2, w + 2), dtype=bool)
+    outside[1:-1, 1:-1] = ~valid
+    near = np.zeros((h, w), dtype=bool)
     for dr, dc in NEIGHBOR_OFFSETS:
-        dst_r = slice(max(0, -dr), h - max(0, dr))
-        dst_c = slice(max(0, -dc), w - max(0, dc))
-        src_r = slice(max(0, dr), h + min(0, dr) if dr < 0 else h)
-        src_c = slice(max(0, dc), w + min(0, dc) if dc < 0 else w)
-        adj = np.zeros((h, w), dtype=bool)
-        adj[dst_r, dst_c] = ~valid[src_r, src_c]
-        seeds |= adj
-    return seeds & valid
+        near |= outside[1 + dr : h + 1 + dr, 1 + dc : w + 1 + dc]
+    return near & valid
 
 
-def _priority_flood_py(values, valid, seeds, n_rows, n_cols, epsilon):
-    """heapq-based priority flood over flat arrays, popping by (elevation, index)."""
-    out = values.copy()
-    visited = ~valid.copy()  # never enter nodata cells
-    heap = [(out[i], i) for i in np.flatnonzero(seeds).tolist()]
-    visited[seeds] = True
+def _priority_flood(values, valid, seeds, epsilon):
+    """heapq priority flood popping by (elevation, index).
+
+    The grid is padded with a one-cell border that counts as visited, so a
+    neighbor is ``i + offset`` with no bounds check. Padding keeps
+    row-major index order, so ties pop in the same order as on the
+    unpadded grid.
+    """
+    h, w = values.shape
+    width = w + 2
+    padded = np.zeros((h + 2, width))
+    padded[1:-1, 1:-1] = values
+    closed = np.ones((h + 2, width), dtype=bool)  # never enter the border or nodata
+    closed[1:-1, 1:-1] = ~valid | seeds
+    out = padded.ravel().tolist()
+    visited = closed.ravel().tolist()
+    rows, cols = np.nonzero(seeds)
+    heap = [(out[i], i) for i in ((rows + 1) * width + cols + 1).tolist()]
     heapq.heapify(heap)
+    offsets = [dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        z, i = heapq.heappop(heap)
-        row, col = divmod(i, n_cols)
-        for dr, dc in NEIGHBOR_OFFSETS:
-            nr, nc = row + dr, col + dc
-            if nr < 0 or nr >= n_rows or nc < 0 or nc >= n_cols:
-                continue
-            j = nr * n_cols + nc
+        z_i, i = heappop(heap)
+        floor = z_i + epsilon
+        for offset in offsets:
+            j = i + offset
             if visited[j]:
                 continue
             visited[j] = True
-            floor = z + epsilon
-            if out[j] < floor:
-                out[j] = floor
-            heapq.heappush(heap, (out[j], j))
-    return out
-
-
-@njit(cache=True)
-def _priority_flood_numba(values, valid, seeds, n_rows, n_cols, epsilon):  # pragma: no cover
-    """Manual binary-heap priority flood; pops in the same (elevation, index) order."""
-    n = n_rows * n_cols
-    out = values.copy()
-    visited = np.empty(n, dtype=np.bool_)
-    for i in range(n):
-        visited[i] = not valid[i]
-    heap_z = np.empty(n, dtype=np.float64)
-    heap_i = np.empty(n, dtype=np.int64)
-    size = 0
-    for i in range(n):
-        if seeds[i]:
-            visited[i] = True
-            heap_z[size] = out[i]
-            heap_i[size] = i
-            k = size
-            size += 1
-            while k > 0:
-                p = (k - 1) >> 1
-                if heap_z[k] < heap_z[p] or (heap_z[k] == heap_z[p] and heap_i[k] < heap_i[p]):
-                    heap_z[k], heap_z[p] = heap_z[p], heap_z[k]
-                    heap_i[k], heap_i[p] = heap_i[p], heap_i[k]
-                    k = p
-                else:
-                    break
-    while size > 0:
-        z = heap_z[0]
-        i = heap_i[0]
-        size -= 1
-        heap_z[0] = heap_z[size]
-        heap_i[0] = heap_i[size]
-        k = 0
-        while True:
-            left = 2 * k + 1
-            right = left + 1
-            m = k
-            if left < size and (
-                heap_z[left] < heap_z[m] or (heap_z[left] == heap_z[m] and heap_i[left] < heap_i[m])
-            ):
-                m = left
-            if right < size and (
-                heap_z[right] < heap_z[m]
-                or (heap_z[right] == heap_z[m] and heap_i[right] < heap_i[m])
-            ):
-                m = right
-            if m == k:
-                break
-            heap_z[k], heap_z[m] = heap_z[m], heap_z[k]
-            heap_i[k], heap_i[m] = heap_i[m], heap_i[k]
-            k = m
-        row = i // n_cols
-        col = i % n_cols
-        for d in range(8):
-            if d == 0:
-                dr, dc = 0, 1
-            elif d == 1:
-                dr, dc = 1, 1
-            elif d == 2:
-                dr, dc = 1, 0
-            elif d == 3:
-                dr, dc = 1, -1
-            elif d == 4:
-                dr, dc = 0, -1
-            elif d == 5:
-                dr, dc = -1, -1
-            elif d == 6:
-                dr, dc = -1, 0
-            else:
-                dr, dc = -1, 1
-            nr = row + dr
-            nc = col + dc
-            if nr < 0 or nr >= n_rows or nc < 0 or nc >= n_cols:
-                continue
-            j = nr * n_cols + nc
-            if visited[j]:
-                continue
-            visited[j] = True
-            floor = z + epsilon
-            if out[j] < floor:
-                out[j] = floor
-            heap_z[size] = out[j]
-            heap_i[size] = j
-            k = size
-            size += 1
-            while k > 0:
-                p = (k - 1) >> 1
-                if heap_z[k] < heap_z[p] or (heap_z[k] == heap_z[p] and heap_i[k] < heap_i[p]):
-                    heap_z[k], heap_z[p] = heap_z[p], heap_z[k]
-                    heap_i[k], heap_i[p] = heap_i[p], heap_i[k]
-                    k = p
-                else:
-                    break
-    return out
+            z_j = out[j]
+            if z_j < floor:
+                z_j = out[j] = floor
+            heappush(heap, (z_j, j))
+    return np.array(out).reshape(h + 2, width)[1:-1, 1:-1]
 
 
 def fill_depressions(dem: Grid, epsilon: float = 1e-5) -> Grid:
@@ -295,16 +192,7 @@ def fill_depressions(dem: Grid, epsilon: float = 1e-5) -> Grid:
     if dem.n_valid == 0:
         raise ValueError("grid has no valid cells")
     seeds = _edge_and_nodata_adjacent(dem.valid_mask)
-    flood = _priority_flood_numba if HAS_NUMBA else _priority_flood_py
-    filled = flood(
-        dem.values.ravel().copy(),
-        dem.valid_mask.ravel().copy(),
-        seeds.ravel().copy(),
-        dem.n_rows,
-        dem.n_cols,
-        float(epsilon),
-    )
-    return dem.with_values(filled.reshape(dem.shape))
+    return dem.with_values(_priority_flood(dem.values, dem.valid_mask, seeds, float(epsilon)))
 
 
 def flow_directions(filled_dem: Grid) -> FlowField:
@@ -330,52 +218,42 @@ def flow_directions(filled_dem: Grid) -> FlowField:
     return FlowField(codes, filled_dem)
 
 
+# D8 code -> receiver row/column offset; the outlet code 0 maps to (0, 0)
+_CODE_DR = np.zeros(256, dtype=np.int64)
+_CODE_DC = np.zeros(256, dtype=np.int64)
+_CODE_DR[D8_CODES], _CODE_DC[D8_CODES] = np.array(NEIGHBOR_OFFSETS).T
+
+
 def _downstream_indices(ff: FlowField) -> np.ndarray:
     """Flat index of each cell's receiving neighbor, -1 for outlets/nodata."""
     h, w = ff.codes.shape
-    ds = np.full(h * w, -1, dtype=np.int64)
-    for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        rows, cols = np.nonzero(ff.codes == D8_CODES[k])
-        tr = rows + dr
-        tc = cols + dc
-        if tr.size and ((tr < 0).any() or (tr >= h).any() or (tc < 0).any() or (tc >= w).any()):
-            raise ValueError("direction code points outside the grid")
-        ds[rows * w + cols] = tr * w + tc
-    return ds
+    rows, cols = np.indices((h, w))
+    tr = rows + _CODE_DR[ff.codes]
+    tc = cols + _CODE_DC[ff.codes]
+    if (tr < 0).any() or (tr >= h).any() or (tc < 0).any() or (tc >= w).any():
+        raise ValueError("direction code points outside the grid")
+    return np.where(ff.codes != OUTLET, tr * w + tc, -1).ravel()
 
 
-def _accumulate_kernel(ds):
+def _accumulate(ds: np.ndarray):
     """Kahn-style topological accumulation; returns (counts, processed)."""
     n = ds.shape[0]
-    indeg = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        d = ds[i]
-        if d >= 0:
-            indeg[d] += 1
-    acc = np.zeros(n, dtype=np.int64)
-    stack = np.empty(n, dtype=np.int64)
-    top = 0
-    for i in range(n):
-        if indeg[i] == 0:
-            stack[top] = i
-            top += 1
+    indeg = np.bincount(ds[ds >= 0], minlength=n)
+    stack = np.flatnonzero(indeg == 0).tolist()
+    indeg = indeg.tolist()
+    down = ds.tolist()
+    acc = [0] * n
     processed = 0
-    while top > 0:
-        top -= 1
-        i = stack[top]
+    while stack:
+        i = stack.pop()
         processed += 1
-        d = ds[i]
+        d = down[i]
         if d >= 0:
             acc[d] += acc[i] + 1
             indeg[d] -= 1
             if indeg[d] == 0:
-                stack[top] = d
-                top += 1
+                stack.append(d)
     return acc, processed
-
-
-if HAS_NUMBA:
-    _accumulate_kernel = njit(cache=True)(_accumulate_kernel)
 
 
 def flow_accumulation(ff: FlowField) -> Grid:
@@ -386,13 +264,14 @@ def flow_accumulation(ff: FlowField) -> Grid:
     signals an unfilled DEM.
     """
     ds = _downstream_indices(ff)
-    acc, processed = _accumulate_kernel(ds)
+    acc, processed = _accumulate(ds)
     if processed != ds.shape[0]:
         raise FlowCycleError(
             f"flow directions contain a cycle ({ds.shape[0] - processed} cells unresolved)"
         )
     grid = ff.grid
-    values = np.where(grid.valid_mask, acc.reshape(grid.shape).astype(np.float64), grid.nodata_sentinel)
+    counts = np.array(acc, dtype=np.float64).reshape(grid.shape)
+    values = np.where(grid.valid_mask, counts, grid.nodata_sentinel)
     return grid.with_values(values)
 
 

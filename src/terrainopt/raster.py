@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -67,13 +67,19 @@ class Grid:
     ----------
     values : array-like
         2-D array of shape (n_rows, n_cols); row 0 is the northernmost row.
-        Cells equal to ``nodata_sentinel`` are treated as missing.
+        Cells equal to ``nodata_sentinel`` are treated as missing unless
+        ``valid_mask`` is given.
     cell_size : float
         Cell edge length in meters, > 0.
     x_ll, y_ll : float
         Coordinates of the lower-left corner of the lower-left cell.
     nodata_sentinel : float
         Value marking missing cells.
+    valid_mask : array-like of bool, optional
+        Which cells hold data. Defaults to ``values != nodata_sentinel``.
+        Given explicitly, a valid cell may hold the sentinel value (a
+        headwater accumulation of 0 under ``NODATA_value 0``, say); every
+        invalid cell must hold the sentinel.
     """
 
     values: np.ndarray
@@ -81,7 +87,7 @@ class Grid:
     x_ll: float = 0.0
     y_ll: float = 0.0
     nodata_sentinel: float = DEFAULT_NODATA
-    valid_mask: np.ndarray = field(init=False, repr=False)
+    valid_mask: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64, copy=True, order="C")
@@ -94,7 +100,14 @@ class Grid:
         if not np.isfinite(vals).all():
             raise ValueError("grid values must be finite")
         vals.setflags(write=False)
-        mask = vals != self.nodata_sentinel
+        if self.valid_mask is None:
+            mask = vals != self.nodata_sentinel
+        else:
+            mask = np.array(self.valid_mask, dtype=bool, copy=True, order="C")
+            if mask.shape != vals.shape:
+                raise ValueError("valid_mask shape must match values")
+            if (vals[~mask] != self.nodata_sentinel).any():
+                raise ValueError("nodata cells must hold the nodata sentinel")
         mask.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "valid_mask", mask)
@@ -116,8 +129,10 @@ class Grid:
         return int(self.valid_mask.sum())
 
     def with_values(self, values: np.ndarray) -> "Grid":
-        """New grid with the same georeferencing but different values."""
-        return Grid(values, self.cell_size, self.x_ll, self.y_ll, self.nodata_sentinel)
+        """New grid with the same georeferencing and valid mask but different values."""
+        return Grid(
+            values, self.cell_size, self.x_ll, self.y_ll, self.nodata_sentinel, self.valid_mask
+        )
 
     def congruent(self, other: "Grid") -> bool:
         """Same shape, georeferencing and valid mask as ``other``."""
@@ -139,6 +154,7 @@ class Grid:
             and self.y_ll == other.y_ll
             and self.nodata_sentinel == other.nodata_sentinel
             and np.array_equal(self.values, other.values)
+            and np.array_equal(self.valid_mask, other.valid_mask)
         )
 
     def __repr__(self) -> str:
@@ -259,9 +275,23 @@ def parse_ascii_grid(text: str) -> Grid:
         y_ll -= cell_size / 2.0
 
     expected = n_rows * n_cols
+    data = [token for _, tokens in lines[pos:] for token in tokens]
+    values = None
+    if len(data) == expected:
+        try:
+            values = np.array(list(map(float, data)))
+        except ValueError:
+            pass
+    if values is None or not np.isfinite(values).all():
+        values = _parse_data_tokens(lines[pos:], expected, lines[-1][0])
+    return Grid(values.reshape(n_rows, n_cols), cell_size, x_ll, y_ll, nodata)
+
+
+def _parse_data_tokens(lines, expected: int, last_line: int) -> np.ndarray:
+    """Token-by-token parse of the data lines, locating the first bad token."""
     values = np.empty(expected, dtype=np.float64)
     count = 0
-    for line_no, tokens in lines[pos:]:
+    for line_no, tokens in lines:
         for col, token in enumerate(tokens, start=1):
             if count >= expected:
                 raise GridFormatError(
@@ -272,12 +302,10 @@ def parse_ascii_grid(text: str) -> Grid:
             values[count] = _parse_number(token, line_no, col, "data token")
             count += 1
     if count != expected:
-        last_line = lines[-1][0] if pos < len(lines) else (lines[pos - 1][0] if lines else 1)
         raise GridFormatError(
             f"expected {expected} data values, found {count}", last_line, 1
         )
-
-    return Grid(values.reshape(n_rows, n_cols), cell_size, x_ll, y_ll, nodata)
+    return values
 
 
 def load_ascii_grid(path: str | Path) -> Grid:

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from terrainopt import Grid, fill_depressions, flow_accumulation, flow_directions
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger one-time JIT compilation outside any timed test."""
-    g = Grid(np.array([[3.0, 2.0], [2.0, 1.0]]), 10.0)
-    flow_accumulation(flow_directions(fill_depressions(g, 1e-5)))
+from terrainopt import Grid
 
 
 @pytest.fixture

@@ -85,6 +85,48 @@ def spill_fill(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
+def exit_cells(valid: np.ndarray) -> np.ndarray:
+    """Valid cells on the grid perimeter or 8-adjacent to a nodata cell."""
+    h, w = valid.shape
+    exits = np.zeros((h, w), dtype=bool)
+    for r in range(h):
+        for c in range(w):
+            exits[r, c] = valid[r, c] and any(
+                not (0 <= r + dr < h and 0 <= c + dc < w and valid[r + dr, c + dc])
+                for dr, dc in ALL_OFFSETS
+            )
+    return exits
+
+
+# the library's neighbor order E, SE, S, SW, W, NW, N, NE, which fixes tie-breaks
+NEIGHBOR_OFFSETS = tuple(ALL_OFFSETS)
+
+
+def priority_flood_reference(values, valid, seeds, n_rows, n_cols, epsilon):
+    """heapq-based priority flood over flat arrays, popping by (elevation, index)."""
+    out = values.copy()
+    visited = ~valid.copy()  # never enter nodata cells
+    heap = [(out[i], i) for i in np.flatnonzero(seeds).tolist()]
+    visited[seeds] = True
+    heapq.heapify(heap)
+    while heap:
+        z, i = heapq.heappop(heap)
+        row, col = divmod(i, n_cols)
+        for dr, dc in NEIGHBOR_OFFSETS:
+            nr, nc = row + dr, col + dc
+            if nr < 0 or nr >= n_rows or nc < 0 or nc >= n_cols:
+                continue
+            j = nr * n_cols + nc
+            if visited[j]:
+                continue
+            visited[j] = True
+            floor = z + epsilon
+            if out[j] < floor:
+                out[j] = floor
+            heapq.heappush(heap, (out[j], j))
+    return out
+
+
 def has_descending_exit_path(values: np.ndarray, valid: np.ndarray, r: int, c: int) -> bool:
     """Strictly descending 8-connected path from (r, c) to an exit cell."""
     h, w = values.shape

@@ -66,6 +66,21 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def save_with_sentinel(path, dem, sentinel):
+    """Write ``dem`` with its nodata cells spelled as ``sentinel``."""
+    values = np.where(dem.valid_mask, dem.values, sentinel)
+    save_ascii_grid(path, Grid(values, dem.cell_size, nodata_sentinel=sentinel))
+
+
+@pytest.fixture
+def dem_with_holes():
+    """An 8x8 synthetic DEM (elevations 41-47 m) with four nodata cells."""
+    dem = synthetic_dem(8, 8, seed=5)
+    values = dem.values.copy()
+    values[[0, 3, 4, 7], [5, 2, 6, 0]] = -9999.0
+    return Grid(values, dem.cell_size)
+
+
 class TestAnalyze:
     def test_plane_outputs_and_summary(self, tmp_path, east_plane_asc, capsys):
         out = tmp_path / "analysis"
@@ -120,6 +135,19 @@ class TestAnalyze:
         code = main(["analyze", "--dem", str(bad), "--out", str(tmp_path / "x")])
         assert code == 3
         assert "line 6" in capsys.readouterr().err
+
+    def test_nodata_value_zero_matches_minus_9999(self, tmp_path, dem_with_holes, capsys):
+        # headwater accumulation, outlet codes and flat slopes are 0, which
+        # must stay valid data when the DEM's NODATA_value is 0
+        stdout = {}
+        for sentinel in (-9999.0, 0.0):
+            dem_path = tmp_path / f"dem{sentinel:g}.asc"
+            save_with_sentinel(dem_path, dem_with_holes, sentinel)
+            out = tmp_path / f"a{sentinel:g}"
+            assert main(["analyze", "--dem", str(dem_path), "--out", str(out)]) == 0
+            stdout[sentinel] = capsys.readouterr().out.splitlines()[:-1]  # drop the out dir line
+        assert stdout[0.0] == stdout[-9999.0]
+        assert "path_cells = " in stdout[0.0][0]
 
     def test_missing_dem_flag_is_config_error(self, capsys):
         assert main(["analyze"]) == 2
@@ -233,6 +261,16 @@ class TestOptimize:
         assert "configuration error" in capsys.readouterr().err
         assert not (run_dir / "pareto.csv").exists()
 
+    def test_hash_in_output_dir_round_trips_through_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_ascii_grid(tmp_path / "dem.asc", synthetic_dem(6, 6, seed=2))
+        args = ["--population", "4", "--offspring", "2", "--generations", "1"]
+        assert main(["optimize", "--dem", "dem.asc", "--out", "run#1"] + args) == 0
+        (tmp_path / "run#1" / "pareto.csv").unlink()
+        assert main(["optimize", "--config", "run#1/manifest.txt"]) == 0
+        assert (tmp_path / "run#1" / "pareto.csv").exists()
+        assert not (tmp_path / "run").exists()
+
     def test_zero_plan_row_present(self, small_run):
         _, run_dir = small_run
         costs = [float(r["cost"]) for r in read_csv(run_dir / "pareto.csv")]
@@ -319,6 +357,26 @@ class TestPick:
         save_ascii_grid(target, Grid(tampered, grid.cell_size, grid.x_ll, grid.y_ll, grid.nodata_sentinel))
         assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
         assert "checksum" in capsys.readouterr().err
+
+    def test_nodata_value_zero_run(self, tmp_path, dem_with_holes, capsys):
+        # a zero delta equals the sentinel 0, so genomes are read through the DEM's mask
+        dem_path = tmp_path / "dem.asc"
+        save_with_sentinel(dem_path, dem_with_holes, 0.0)
+        run_dir = tmp_path / "run"
+        assert main(
+            ["optimize", "--dem", str(dem_path), "--out", str(run_dir), "--seed", "7",
+             "--population", "8", "--offspring", "4", "--generations", "3"]
+        ) == 0
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "repick")]) == 0
+        assert (run_dir / "repick" / "summary.csv").read_bytes() == (
+            run_dir / "picks" / "summary.csv"
+        ).read_bytes()
+
+    def test_genome_shape_mismatch_detected(self, small_run, capsys):
+        _, run_dir = small_run
+        save_ascii_grid(run_dir / "genomes" / "member_0000.asc", Grid(np.zeros((2, 2)), 10.0))
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
+        assert "shape does not match" in capsys.readouterr().err
 
     def test_missing_artifacts_detected(self, small_run, capsys):
         _, run_dir = small_run

@@ -1,6 +1,8 @@
 """Depression filling, D8 routing, accumulation, slope and velocity."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from terrainopt import (
     FlowCycleError,
@@ -15,13 +17,15 @@ from terrainopt import (
     max_velocity,
     runoff_velocity,
     slope,
+    synthetic_dem,
 )
-from terrainopt.hydrology import HAS_NUMBA, _edge_and_nodata_adjacent, _priority_flood_py
 
 from oracles import (
     brute_accumulation,
+    exit_cells,
     has_descending_exit_path,
     horn_slope_scalar,
+    priority_flood_reference,
     random_dem_values,
     scalar_velocity,
     spill_fill,
@@ -30,6 +34,33 @@ from oracles import (
 
 def random_grid(rng, shape=(6, 6), nodata_fraction=0.0):
     values, valid = random_dem_values(rng, shape, nodata_fraction)
+    return Grid(np.where(valid, values, -9999.0), 10.0)
+
+
+def reference_fill(g, epsilon):
+    return priority_flood_reference(
+        g.values.ravel().copy(),
+        g.valid_mask.ravel().copy(),
+        exit_cells(g.valid_mask).ravel(),
+        g.n_rows,
+        g.n_cols,
+        epsilon,
+    ).reshape(g.shape)
+
+
+@st.composite
+def dems(draw, max_side=8):
+    """Small DEMs mixing integer elevations (flats, ties) with arbitrary ones."""
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    values = draw(
+        hnp.arrays(
+            np.float64,
+            shape,
+            elements=st.integers(0, 9).map(float) | st.floats(0.0, 9.0),
+        )
+    )
+    valid = draw(hnp.arrays(np.bool_, shape, elements=st.integers(0, 4).map(bool)))
+    valid.flat[draw(st.integers(0, valid.size - 1))] = True
     return Grid(np.where(valid, values, -9999.0), 10.0)
 
 
@@ -108,22 +139,33 @@ class TestFillDepressions:
         with pytest.raises(ValueError, match="epsilon"):
             fill_depressions(east_plane, -1.0)
 
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-    def test_numba_and_python_paths_agree(self):
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-5, 0.3])
+    def test_matches_reference_flood(self, epsilon):
         rng = np.random.default_rng(15)
-        shapes = [(9, 9)] * 10 + [(40, 37)] * 2
-        for shape in shapes:
-            g = random_grid(rng, shape, nodata_fraction=0.2)
-            fast = fill_depressions(g, 1e-5)
-            slow = _priority_flood_py(
-                g.values.ravel().copy(),
-                g.valid_mask.ravel().copy(),
-                _edge_and_nodata_adjacent(g.valid_mask).ravel(),
-                g.n_rows,
-                g.n_cols,
-                1e-5,
-            ).reshape(g.shape)
-            assert np.array_equal(fast.values, slow)
+        shapes = [(9, 9)] * 10 + [(40, 37)] * 2 + [(1, 1), (1, 17), (17, 1), (1, 40), (40, 1)]
+        for trial, shape in enumerate(shapes):
+            values, valid = random_dem_values(rng, shape, nodata_fraction=rng.uniform(0.0, 0.2))
+            if trial % 2:
+                values = np.round(values)  # flats and elevation ties
+            g = Grid(np.where(valid, values, -9999.0), 10.0)
+            assert np.array_equal(fill_depressions(g, epsilon).values, reference_fill(g, epsilon)), (
+                f"trial {trial}"
+            )
+
+    @given(g=dems(), epsilon=st.sampled_from([0.0, 1e-5, 0.3]))
+    @settings(max_examples=150, deadline=None)
+    def test_property_idempotent_and_never_lowers(self, g, epsilon):
+        filled = fill_depressions(g, epsilon)
+        assert np.all(filled.values[g.valid_mask] >= g.values[g.valid_mask])
+        assert np.array_equal(filled.values[~g.valid_mask], g.values[~g.valid_mask])
+        assert fill_depressions(filled, epsilon) == filled
+
+    @given(g=dems(), epsilon=st.sampled_from([1e-5, 0.3]))
+    @settings(max_examples=150, deadline=None)
+    def test_property_descending_exit_path(self, g, epsilon):
+        filled = fill_depressions(g, epsilon)
+        for r, c in zip(*np.nonzero(g.valid_mask)):
+            assert has_descending_exit_path(filled.values, filled.valid_mask, r, c)
 
 
 class TestFlowDirections:
@@ -210,6 +252,13 @@ class TestFlowAccumulation:
             assert np.array_equal(
                 acc.values[filled.valid_mask], oracle[filled.valid_mask].astype(float)
             ), f"trial {trial}"
+
+    def test_matches_brute_force_oracle_200x200(self):
+        filled = fill_depressions(synthetic_dem(200, 200, seed=3), 1e-5)
+        ff = flow_directions(filled)
+        acc = flow_accumulation(ff)
+        oracle = brute_accumulation(ff.codes, filled.valid_mask)
+        assert np.array_equal(acc.values, oracle.astype(float))
 
     def test_conservation_upstream_sums(self):
         rng = np.random.default_rng(24)

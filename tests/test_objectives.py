@@ -145,3 +145,14 @@ class TestEvaluate:
     def test_length_mismatch_propagates(self, east_plane):
         with pytest.raises(ValueError, match="plan length"):
             evaluate(east_plane, np.zeros(4), HP, CP)
+
+    def test_nodata_sentinel_zero_matches_minus_9999(self, masked_base):
+        # cells cut to exactly 0 m and headwater accumulation 0 stay valid data
+        zero = Grid(
+            np.where(masked_base.valid_mask, masked_base.values, 0.0), 10.0, nodata_sentinel=0.0
+        )
+        rng = np.random.default_rng(8)
+        n = plan_length(masked_base)
+        plans = [np.zeros(n), rng.uniform(-2, 2, n), -masked_base.values[masked_base.valid_mask]]
+        for plan in plans:
+            assert evaluate(zero, plan, HP, CP) == evaluate(masked_base, plan, HP, CP)

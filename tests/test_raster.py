@@ -27,6 +27,21 @@ class TestGrid:
         assert g.valid_mask.tolist() == [[True, False]]
         assert g.n_valid == 1
 
+    def test_explicit_valid_mask_keeps_sentinel_valued_cells(self):
+        g = Grid(np.array([[0.0, 0.0, 3.0]]), 10.0, nodata_sentinel=0.0,
+                 valid_mask=np.array([[False, True, True]]))
+        assert g.valid_mask.tolist() == [[False, True, True]]
+        assert g.n_valid == 2
+        derived = g.with_values(np.array([[0.0, 5.0, 0.0]]))
+        assert derived.valid_mask.tolist() == [[False, True, True]]
+        assert g != Grid(g.values, 10.0, nodata_sentinel=0.0)  # same values, other mask
+
+    def test_explicit_valid_mask_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            Grid(np.ones((2, 2)), 10.0, valid_mask=np.ones((2, 3), dtype=bool))
+        with pytest.raises(ValueError, match="sentinel"):
+            Grid(np.ones((1, 2)), 10.0, valid_mask=np.array([[True, False]]))
+
     def test_nonpositive_cell_size_rejected(self):
         with pytest.raises(ValueError, match="cell_size"):
             Grid(np.ones((2, 2)), 0.0)
@@ -105,6 +120,12 @@ class TestParse:
             parse_ascii_grid(text)
         assert err.value.line == 6
         assert err.value.column == 2
+
+    def test_non_finite_data_token(self):
+        text = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\n1 2\ninf 4\n"
+        with pytest.raises(GridFormatError, match=r"line 7, column 1.*non-finite") as err:
+            parse_ascii_grid(text)
+        assert (err.value.line, err.value.column) == (7, 1)
 
     def test_too_few_tokens(self):
         text = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\n1 2\n3\n"
