@@ -18,8 +18,9 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -46,7 +47,14 @@ from .hydrology import (
     slope,
 )
 from .objectives import CostParams, ObjectiveVector, apply_plan, plan_to_grid
-from .raster import Grid, GridFormatError, load_ascii_grid, save_ascii_grid, _format_value
+from .raster import (
+    DEFAULT_NODATA,
+    Grid,
+    GridFormatError,
+    _format_value,
+    load_ascii_grid,
+    save_ascii_grid,
+)
 
 __all__ = ["main", "RunConfig"]
 
@@ -287,6 +295,21 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _save(path: Path, grid: Grid) -> None:
+    """Write ``grid``, with a sentinel no valid cell holds if its own is taken.
+
+    The ASCII format marks a missing cell only by its value, so a valid cell
+    equal to the sentinel (a zero accumulation under ``NODATA_value 0``)
+    would read back as nodata.
+    """
+    valid_values = grid.values[grid.valid_mask]
+    if (valid_values == grid.nodata_sentinel).any():
+        sentinel = min(DEFAULT_NODATA, math.floor(valid_values.min()) - 1.0)
+        values = np.where(grid.valid_mask, grid.values, sentinel)
+        grid = replace(grid, values=values, nodata_sentinel=sentinel)
+    save_ascii_grid(path, grid)
+
+
 def _objective_row(o: ObjectiveVector) -> list[str]:
     return [str(o.path_cells), _format_value(o.v_max), _format_value(o.cost)]
 
@@ -307,12 +330,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     codes = np.where(dem.valid_mask, ff.codes.astype(np.float64), dem.nodata_sentinel)
     path_raster = np.where(dem.valid_mask, mask.astype(np.float64), dem.nodata_sentinel)
-    save_ascii_grid(out_dir / "filled.asc", filled)
-    save_ascii_grid(out_dir / "flow_directions.asc", dem.with_values(codes))
-    save_ascii_grid(out_dir / "flow_accumulation.asc", acc)
-    save_ascii_grid(out_dir / "flow_path.asc", dem.with_values(path_raster))
-    save_ascii_grid(out_dir / "slope.asc", slope_grid)
-    save_ascii_grid(out_dir / "velocity.asc", velocity)
+    _save(out_dir / "filled.asc", filled)
+    _save(out_dir / "flow_directions.asc", dem.with_values(codes))
+    _save(out_dir / "flow_accumulation.asc", acc)
+    _save(out_dir / "flow_path.asc", dem.with_values(path_raster))
+    _save(out_dir / "slope.asc", slope_grid)
+    _save(out_dir / "velocity.asc", velocity)
 
     max_acc = float(acc.values[acc.valid_mask].max())
     threshold = accumulation_threshold(acc, hp.accumulation_threshold_fraction)
@@ -351,8 +374,8 @@ def _export_selections(
     ]
     rows = []
     for role, member in selections:
-        save_ascii_grid(out_dir / f"{role}_delta.asc", plan_to_grid(base, member.plan))
-        save_ascii_grid(out_dir / f"{role}_dem.asc", apply_plan(base, member.plan))
+        _save(out_dir / f"{role}_delta.asc", plan_to_grid(base, member.plan))
+        _save(out_dir / f"{role}_dem.asc", apply_plan(base, member.plan))
         rows.append([role, str(index_of[id(member)])] + _objective_row(member.objectives))
     _write_csv(
         out_dir / "summary.csv",
@@ -391,9 +414,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 raster_dir = snap_dir / f"gen{gen:04d}"
                 raster_dir.mkdir(exist_ok=True)
                 for i, member in enumerate(front):
-                    save_ascii_grid(
-                        raster_dir / f"member_{i:04d}.asc", plan_to_grid(dem, member.plan)
-                    )
+                    _save(raster_dir / f"member_{i:04d}.asc", plan_to_grid(dem, member.plan))
 
     try:
         archive = run_nsga2(dem, cfg.hydro, cfg.cost, cfg.optimizer, on_generation)
@@ -408,7 +429,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             ],
         )
         for i, member in enumerate(archive.members):
-            save_ascii_grid(genomes_dir / f"member_{i:04d}.asc", plan_to_grid(dem, member.plan))
+            _save(genomes_dir / f"member_{i:04d}.asc", plan_to_grid(dem, member.plan))
         rows = _export_selections(
             run_dir / "picks", dem, archive, cfg.weights, cfg.rho, cfg.every_k
         )

@@ -138,6 +138,16 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def _dominance(objs: np.ndarray) -> np.ndarray:
+    """Pairwise dominance of the rows of an all-minimize matrix: [i, j] is i dominates j.
+
+    The diagonal is False, since no row is strictly better than itself.
+    """
+    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
+    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
+    return le & lt
+
+
 def non_dominated_sort(objs: np.ndarray) -> list[np.ndarray]:
     """Partition rows of an all-minimize objective matrix into fronts.
 
@@ -148,9 +158,7 @@ def non_dominated_sort(objs: np.ndarray) -> list[np.ndarray]:
     n = objs.shape[0]
     if n == 0:
         return []
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dom = le & lt  # dom[i, j]: i dominates j
+    dom = _dominance(objs)
     count = dom.sum(axis=0).astype(np.int64)
     active = np.ones(n, dtype=bool)
     fronts = []
@@ -379,11 +387,7 @@ def run_nsga2(
 
 def _verify_archive(archive: ParetoArchive) -> None:
     """Exact internal-consistency check: no member dominates another."""
-    objs = archive.objectives_matrix()
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dom = le & lt
-    np.fill_diagonal(dom, False)
+    dom = _dominance(archive.objectives_matrix())
     if dom.any():
         i, j = np.argwhere(dom)[0]
         raise RuntimeError(f"archive inconsistency: member {i} dominates member {j}")

@@ -51,7 +51,6 @@ OUTLET = 0
 # direction codes in the fixed tie-break order E, SE, S, SW, W, NW, N, NE,
 # matching NEIGHBOR_OFFSETS
 D8_CODES = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
-_ALLOWED_CODES = np.concatenate(([OUTLET], D8_CODES)).astype(np.uint8)
 
 
 class FlowCycleError(RuntimeError):
@@ -105,39 +104,32 @@ class FlowField:
             raise ValueError("codes shape must match the grid")
         if codes[~self.grid.valid_mask].any():
             raise ValueError("nodata cells must carry the outlet code 0")
-        if not np.isin(codes, _ALLOWED_CODES).all():
+        if not _IS_CODE[codes].all():
             raise ValueError("direction codes must be powers of two (or 0 for outlets)")
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
 
 
-def _neighbor_values(values: np.ndarray, valid: np.ndarray, dr: int, dc: int, fill: float):
-    """Shifted neighbor view: out[r, c] = values[r+dr, c+dc].
+def _pad(a: np.ndarray, border) -> np.ndarray:
+    """``a`` inside a one-cell border of value ``border``; keeps row-major order."""
+    h, w = a.shape
+    padded = np.full((h + 2, w + 2), border, dtype=a.dtype)
+    padded[1:-1, 1:-1] = a
+    return padded
 
-    Returns (neighbor_values, has_valid_neighbor); out-of-bounds or nodata
-    positions hold ``fill`` and False.
-    """
-    h, w = values.shape
-    nb = np.full((h, w), fill, dtype=values.dtype)
-    ok = np.zeros((h, w), dtype=bool)
-    dst_r = slice(max(0, -dr), h - max(0, dr))
-    dst_c = slice(max(0, -dc), w - max(0, dc))
-    src_r = slice(max(0, dr), h + min(0, dr) if dr < 0 else h)
-    src_c = slice(max(0, dc), w + min(0, dc) if dc < 0 else w)
-    nb[dst_r, dst_c] = values[src_r, src_c]
-    ok[dst_r, dst_c] = valid[src_r, src_c]
-    nb[~ok] = fill
-    return nb, ok
+
+def _neighbors(padded: np.ndarray):
+    """The eight (h, w) neighbor views of a padded array, in NEIGHBOR_OFFSETS order."""
+    h, w = padded.shape[0] - 2, padded.shape[1] - 2
+    for dr, dc in NEIGHBOR_OFFSETS:
+        yield padded[1 + dr : h + 1 + dr, 1 + dc : w + 1 + dc]
 
 
 def _edge_and_nodata_adjacent(valid: np.ndarray) -> np.ndarray:
     """Valid cells on the grid perimeter or 8-adjacent to a nodata cell."""
-    h, w = valid.shape
-    outside = np.ones((h + 2, w + 2), dtype=bool)
-    outside[1:-1, 1:-1] = ~valid
-    near = np.zeros((h, w), dtype=bool)
-    for dr, dc in NEIGHBOR_OFFSETS:
-        near |= outside[1 + dr : h + 1 + dr, 1 + dc : w + 1 + dc]
+    near = np.zeros(valid.shape, dtype=bool)
+    for outside in _neighbors(_pad(~valid, True)):
+        near |= outside
     return near & valid
 
 
@@ -151,12 +143,8 @@ def _priority_flood(values, valid, seeds, epsilon):
     """
     h, w = values.shape
     width = w + 2
-    padded = np.zeros((h + 2, width))
-    padded[1:-1, 1:-1] = values
-    closed = np.ones((h + 2, width), dtype=bool)  # never enter the border or nodata
-    closed[1:-1, 1:-1] = ~valid | seeds
-    out = padded.ravel().tolist()
-    visited = closed.ravel().tolist()
+    out = _pad(values, 0.0).ravel().tolist()
+    visited = _pad(~valid | seeds, True).ravel().tolist()  # never enter the border or nodata
     rows, cols = np.nonzero(seeds)
     heap = [(out[i], i) for i in ((rows + 1) * width + cols + 1).tolist()]
     heapq.heapify(heap)
@@ -205,20 +193,23 @@ def flow_directions(filled_dem: Grid) -> FlowField:
     """
     z = filled_dem.values
     valid = filled_dem.valid_mask
-    h, w = z.shape
     diag = filled_dem.cell_size * math.sqrt(2.0)
-    grads = np.full((8, h, w), -np.inf)
-    for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        dist = diag if dr and dc else filled_dem.cell_size
-        nb, ok = _neighbor_values(z, valid, dr, dc, np.inf)
-        grads[k] = np.where(ok, (z - nb) / dist, -np.inf)
+    # a missing neighbor holds inf, so its drop is -inf and it never wins
+    padded = _pad(np.where(valid, z, np.inf), np.inf)
+    grads = np.empty((8,) + z.shape)
+    for k, ((dr, dc), nb) in enumerate(zip(NEIGHBOR_OFFSETS, _neighbors(padded))):
+        np.subtract(z, nb, out=grads[k])
+        grads[k] /= diag if dr and dc else filled_dem.cell_size
     best = np.argmax(grads, axis=0)
     best_grad = np.take_along_axis(grads, best[None, :, :], axis=0)[0]
     codes = np.where(valid & (best_grad > 0), D8_CODES[best], OUTLET).astype(np.uint8)
     return FlowField(codes, filled_dem)
 
 
-# D8 code -> receiver row/column offset; the outlet code 0 maps to (0, 0)
+# which byte values are direction codes, and each code's receiver row/column
+# offset; the outlet code 0 maps to (0, 0)
+_IS_CODE = np.zeros(256, dtype=bool)
+_IS_CODE[OUTLET] = _IS_CODE[D8_CODES] = True
 _CODE_DR = np.zeros(256, dtype=np.int64)
 _CODE_DC = np.zeros(256, dtype=np.int64)
 _CODE_DR[D8_CODES], _CODE_DC[D8_CODES] = np.array(NEIGHBOR_OFFSETS).T
@@ -303,12 +294,10 @@ def slope(dem: Grid) -> Grid:
     the center cell's value, which zeroes their contribution to the
     gradient.
     """
-    z = dem.values
     valid = dem.valid_mask
-    nb = []
-    for dr, dc in NEIGHBOR_OFFSETS:
-        shifted, ok = _neighbor_values(z, valid, dr, dc, 0.0)
-        nb.append(np.where(ok, shifted, z))
+    # grid values are finite, so NaN marks exactly the missing cells
+    z = np.where(valid, dem.values, np.nan)
+    nb = [np.where(np.isnan(v), z, v) for v in _neighbors(_pad(z, np.nan))]
     e, se, s, sw, w_, nw, n_, ne = nb
     denom = 8.0 * dem.cell_size
     gx = ((ne + 2.0 * e + se) - (nw + 2.0 * w_ + sw)) / denom

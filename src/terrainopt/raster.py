@@ -7,7 +7,10 @@ ASCII grid format, and values are stored row-major.
 
 The ASCII grid (``.asc``) format is the only interchange format used by
 this package. Values are rendered with shortest round-trip decimals so
-that ``parse_ascii_grid(write_ascii_grid(g)) == g`` holds exactly.
+that ``parse_ascii_grid(write_ascii_grid(g)) == g`` holds exactly when no
+valid cell holds the sentinel; the format marks a missing cell only by its
+value. When a valid cell does hold it, the CLI writes the raster with a
+sentinel no valid cell takes.
 """
 from __future__ import annotations
 

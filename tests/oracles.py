@@ -45,6 +45,32 @@ def brute_accumulation(codes: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return acc
 
 
+def brute_d8(values: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
+    """Steepest-descent D8 codes by scanning each valid cell's neighbors.
+
+    A code wins only with a strictly larger positive drop per unit
+    distance, so ties go to the first code in E, SE, ..., NE order; a cell
+    with no lower valid neighbor, and every nodata cell, carries 0.
+    """
+    h, w = values.shape
+    codes = np.zeros((h, w), dtype=np.uint8)
+    for r in range(h):
+        for c in range(w):
+            if not valid[r, c]:
+                continue
+            best = 0.0
+            for code, (dr, dc) in CODE_TO_OFFSET.items():
+                nr, nc = r + dr, c + dc
+                if not (0 <= nr < h and 0 <= nc < w and valid[nr, nc]):
+                    continue
+                distance = cell_size * math.hypot(dr, dc)
+                drop = (float(values[r, c]) - float(values[nr, nc])) / distance
+                if drop > best:
+                    best = drop
+                    codes[r, c] = code
+    return codes
+
+
 def spill_fill(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Epsilon-0 depression filling by minimax path search.
 

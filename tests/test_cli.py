@@ -33,6 +33,16 @@ from terrainopt.cli import (
 from oracles import scalar_dominates
 
 
+RASTERS = (
+    "filled.asc",
+    "flow_directions.asc",
+    "flow_accumulation.asc",
+    "flow_path.asc",
+    "slope.asc",
+    "velocity.asc",
+)
+
+
 @pytest.fixture
 def east_plane_asc(tmp_path):
     path = tmp_path / "plane.asc"
@@ -89,14 +99,7 @@ class TestAnalyze:
         captured = capsys.readouterr().out
         assert "path_cells = 6" in captured
         assert "max_accumulation = 2" in captured
-        for name in (
-            "filled.asc",
-            "flow_directions.asc",
-            "flow_accumulation.asc",
-            "flow_path.asc",
-            "slope.asc",
-            "velocity.asc",
-        ):
+        for name in RASTERS:
             raster = load_ascii_grid(out / name)
             assert raster.congruent(load_ascii_grid(east_plane_asc))
         acc = load_ascii_grid(out / "flow_accumulation.asc")
@@ -148,6 +151,12 @@ class TestAnalyze:
             stdout[sentinel] = capsys.readouterr().out.splitlines()[:-1]  # drop the out dir line
         assert stdout[0.0] == stdout[-9999.0]
         assert "path_cells = " in stdout[0.0][0]
+        # the rasters themselves re-read with the DEM's mask and the same values
+        valid = dem_with_holes.valid_mask
+        for name in RASTERS:
+            zero, reference = (load_ascii_grid(tmp_path / d / name) for d in ("a0", "a-9999"))
+            assert np.array_equal(zero.valid_mask, valid), name
+            assert np.array_equal(zero.values[valid], reference.values[valid]), name
 
     def test_missing_dem_flag_is_config_error(self, capsys):
         assert main(["analyze"]) == 2

@@ -17,6 +17,7 @@ from terrainopt import (
     synthetic_dem,
     tournament_select,
 )
+from terrainopt.evolve import ParetoArchive, _verify_archive
 
 from oracles import brute_fronts
 
@@ -270,6 +271,15 @@ class TestRunLoop:
             for j in range(len(objs)):
                 if i != j:
                     assert not dominates(objs[i], objs[j])
+
+    def test_verify_archive_rejects_dominated_member(self):
+        def archive(*objectives):
+            members = [Individual(np.zeros(2), ObjectiveVector(*o)) for o in objectives]
+            return ParetoArchive(members, self.CFG, [], 2, 0.5)
+
+        _verify_archive(archive((5, 1.0, 10.0), (5, 1.0, 10.0), (6, 2.0, 10.0)))  # ties only
+        with pytest.raises(RuntimeError, match="member 2 dominates member 0"):
+            _verify_archive(archive((5, 1.0, 10.0), (6, 2.0, 10.0), (5, 1.0, 9.0)))
 
     def test_zero_plan_seed_keeps_cost_floor(self):
         archive = run_nsga2(self.BASE, HP, CP, self.CFG)

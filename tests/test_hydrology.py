@@ -22,6 +22,7 @@ from terrainopt import (
 
 from oracles import (
     brute_accumulation,
+    brute_d8,
     exit_cells,
     has_descending_exit_path,
     horn_slope_scalar,
@@ -216,6 +217,20 @@ class TestFlowDirections:
             filled = fill_depressions(g, 1e-5)
             ff = flow_directions(filled)
             brute_accumulation(ff.codes, filled.valid_mask)  # asserts no cycle
+
+    def test_matches_brute_force_oracle(self):
+        rng = np.random.default_rng(24)
+        shapes = [(7, 7)] * 30 + [(23, 31)] * 3 + [(1, 1), (1, 9), (9, 1), (2, 2)]
+        for trial, shape in enumerate(shapes):
+            values, valid = random_dem_values(rng, shape, nodata_fraction=rng.uniform(0.0, 0.3))
+            if trial % 2:
+                values = np.round(values)  # elevation ties
+            cell_size = (0.5, 1.0, 10.0)[trial % 3]
+            g = Grid(np.where(valid, values, -9999.0), cell_size)
+            for dem in (g, fill_depressions(g, 0.0), fill_depressions(g, 1e-5)):
+                assert np.array_equal(
+                    flow_directions(dem).codes, brute_d8(dem.values, dem.valid_mask, cell_size)
+                ), f"trial {trial}"
 
     def test_codes_are_valid_d8(self):
         rng = np.random.default_rng(22)

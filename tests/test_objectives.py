@@ -1,6 +1,8 @@
 """Plan application, earthwork cost and full three-objective evaluation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from terrainopt import (
     CostParams,
@@ -17,6 +19,29 @@ from terrainopt import (
 
 HP = HydroParams()
 CP = CostParams()
+
+
+@st.composite
+def masked_dems_and_plans(draw):
+    """Elevations in [10, 20] m (half of them integers), a mask and a plan in [-2, 2] m."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    values = draw(
+        hnp.arrays(
+            np.float64,
+            shape,
+            elements=st.integers(10, 20).map(float) | st.floats(10.0, 20.0),
+        )
+    )
+    valid = draw(hnp.arrays(np.bool_, shape, elements=st.integers(0, 4).map(bool)))
+    valid.flat[draw(st.integers(0, valid.size - 1))] = True
+    plan = draw(
+        hnp.arrays(
+            np.float64,
+            int(valid.sum()),
+            elements=st.integers(-2, 2).map(float) | st.floats(-2.0, 2.0),
+        )
+    )
+    return values, valid, plan
 
 
 @pytest.fixture
@@ -141,6 +166,21 @@ class TestEvaluate:
         deltas = rng.uniform(-2, 2, size=9)
         results = [evaluate(east_plane, deltas, HP, CP) for _ in range(10)]
         assert all(r == results[0] for r in results)
+
+    @given(
+        dem=masked_dems_and_plans(),
+        sentinel=st.sampled_from([0.0, 10.0, 12.0, 15.0, 20.0])
+        | st.floats(8.0, 22.0)  # the elevation +- bound band
+        | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_sentinel_never_read(self, dem, sentinel):
+        values, valid, plan = dem
+
+        def grid(s):
+            return Grid(np.where(valid, values, s), 10.0, nodata_sentinel=s, valid_mask=valid)
+
+        assert evaluate(grid(sentinel), plan, HP, CP) == evaluate(grid(-9999.0), plan, HP, CP)
 
     def test_length_mismatch_propagates(self, east_plane):
         with pytest.raises(ValueError, match="plan length"):
