@@ -436,6 +436,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     except Exception as exc:
         _write_manifest(manifest, cfg, "partial", [f"error = {exc}"])
         raise
+    opt = cfg.optimizer
     _write_manifest(
         manifest,
         cfg,
@@ -444,6 +445,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"result_n_var = {archive.n_var}",
             f"result_mutation_probability = {_format_value(archive.mutation_probability)}",
             f"result_archive_size = {len(archive.members)}",
+            f"result_evaluations = {opt.population_size + opt.generations * opt.offspring_size}",
+            f"result_processes = {archive.processes}",
         ],
     )
     for role, member_id, path_cells, v_max, cost in rows[:4]:

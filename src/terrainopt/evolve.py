@@ -10,12 +10,17 @@ stream-splitting discipline: ``SeedSequence(seed)`` is split into one
 PCG64 stream for initialization plus one per generation, so runs are
 bit-reproducible regardless of how offspring evaluation is scheduled.
 
+Selection and variation run in the calling process; only the scoring of
+each batch of plans fans out, over every CPU the process may run on (see
+:func:`run_nsga2`), and the scores are joined back in plan order.
+
 Objective vectors are handled in the all-minimize sense (see
 :meth:`~terrainopt.objectives.ObjectiveVector.as_min_array`); history
 records and archive members carry the external senses.
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -117,7 +122,8 @@ class ParetoArchive:
     records the generation it was created in (``born``). ``config``
     echoes the settings, ``mutation_probability`` the value actually
     used, and ``history`` one record per generation including the
-    initial population as generation 0.
+    initial population as generation 0. ``processes`` is the number of
+    processes that scored the largest batch (see :func:`run_nsga2`).
     """
 
     members: list[Individual]
@@ -125,6 +131,7 @@ class ParetoArchive:
     history: list[GenerationStats]
     n_var: int
     mutation_probability: float
+    processes: int = 1
 
     def objectives_matrix(self) -> np.ndarray:
         """(n, 3) all-minimize objective matrix of the members."""
@@ -315,6 +322,45 @@ def _front_stats(generation: int, front: list[Individual], wall_ms: float) -> Ge
 OnGeneration = Callable[[int, list[Individual], GenerationStats], None]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# a worker's copy of the problem, set once by _init_worker
+_problem: Optional[tuple[Grid, HydroParams, CostParams]] = None
+
+
+def _init_worker(base: Grid, hp: HydroParams, cp: CostParams) -> None:
+    global _problem
+    _problem = (base, hp, cp)
+
+
+def _evaluate_chunk(plans: Sequence[np.ndarray]) -> list[ObjectiveVector]:
+    base, hp, cp = _problem
+    return [evaluate(base, plan, hp, cp) for plan in plans]
+
+
+def _score(plans, base, hp, cp, pool, processes: int) -> list[ObjectiveVector]:
+    """Objectives of ``plans`` in plan order, over ``min(processes, len(plans))`` processes.
+
+    The plans are cut into that many contiguous chunks; ``pool`` scores
+    every chunk but the first, which this process scores meanwhile. A
+    failing chunk re-raises its first exception here, chunks in order,
+    so the exception is the one a serial loop would raise.
+    """
+    n = min(processes, len(plans))
+    cuts = [len(plans) * k // n for k in range(n + 1)]
+    futures = [pool.submit(_evaluate_chunk, plans[a:b]) for a, b in zip(cuts[1:-1], cuts[2:])]
+    scores = [evaluate(base, plan, hp, cp) for plan in plans[: cuts[1]]]
+    for future in futures:
+        scores.extend(future.result())
+    return scores
+
+
 def run_nsga2(
     base: Grid,
     hp: HydroParams,
@@ -332,7 +378,38 @@ def run_nsga2(
     children. ``on_generation`` (if given) is called after every
     generation, and once for the initial population as generation 0, with
     the current rank-0 front and its stats.
+
+    Each batch (the initial population, then each generation's children)
+    is scored on ``min(usable CPUs, batch size)`` processes: this one plus
+    workers that receive the problem once, when they start. Results do
+    not depend on the count; with one usable CPU no process is started.
     """
+    largest = max(cfg.population_size, cfg.offspring_size if cfg.generations else 0)
+    processes = min(_usable_cpus(), largest)
+    pool = None
+    if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(processes - 1, initializer=_init_worker, initargs=(base, hp, cp))
+    try:
+        archive = _evolve(
+            base, cfg, lambda plans: _score(plans, base, hp, cp, pool, processes), on_generation
+        )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    archive.processes = processes
+    _verify_archive(archive)
+    return archive
+
+
+def _evolve(
+    base: Grid,
+    cfg: OptimizerConfig,
+    score: Callable[[Sequence[np.ndarray]], list[ObjectiveVector]],
+    on_generation: Optional[OnGeneration],
+) -> ParetoArchive:
+    """The NSGA-II loop of :func:`run_nsga2`, scoring each batch of plans with ``score``."""
     n_var = plan_length(base)
     pm = cfg.mutation_probability if cfg.mutation_probability is not None else 1.0 / n_var
     streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.generations + 1)
@@ -343,8 +420,8 @@ def run_nsga2(
     if cfg.seed_with_zero_plan:
         plans[0] = 0.0
     population = [
-        Individual(plan=plans[i].copy(), objectives=evaluate(base, plans[i], hp, cp), born=0)
-        for i in range(cfg.population_size)
+        Individual(plan=plan.copy(), objectives=objectives, born=0)
+        for plan, objectives in zip(plans, score(plans))
     ]
     population = _select_survivors(population, cfg.population_size)
     front = [m for m in population if m.rank == 0]
@@ -364,8 +441,8 @@ def run_nsga2(
             if len(child_plans) < cfg.offspring_size:
                 child_plans.append(polynomial_mutation(c2, cfg, rng))
         offspring = [
-            Individual(plan=plan, objectives=evaluate(base, plan, hp, cp), born=generation)
-            for plan in child_plans
+            Individual(plan=plan, objectives=objectives, born=generation)
+            for plan, objectives in zip(child_plans, score(child_plans))
         ]
         population = _select_survivors(population + offspring, cfg.population_size)
         front = [m for m in population if m.rank == 0]
@@ -374,15 +451,13 @@ def run_nsga2(
         if on_generation is not None:
             on_generation(generation, front, stats)
 
-    archive = ParetoArchive(
+    return ParetoArchive(
         members=list(front),
         config=cfg,
         history=history,
         n_var=n_var,
         mutation_probability=pm,
     )
-    _verify_archive(archive)
-    return archive
 
 
 def _verify_archive(archive: ParetoArchive) -> None:

@@ -194,11 +194,13 @@ def flow_directions(filled_dem: Grid) -> FlowField:
     z = filled_dem.values
     valid = filled_dem.valid_mask
     diag = filled_dem.cell_size * math.sqrt(2.0)
-    # a missing neighbor holds inf, so its drop is -inf and it never wins
+    # a missing neighbor holds inf, so its drop is -inf and it never wins; a
+    # nodata centre holds -inf, so the sentinel never enters the arithmetic
     padded = _pad(np.where(valid, z, np.inf), np.inf)
+    centre = np.where(valid, z, -np.inf)
     grads = np.empty((8,) + z.shape)
     for k, ((dr, dc), nb) in enumerate(zip(NEIGHBOR_OFFSETS, _neighbors(padded))):
-        np.subtract(z, nb, out=grads[k])
+        np.subtract(centre, nb, out=grads[k])
         grads[k] /= diag if dr and dc else filled_dem.cell_size
     best = np.argmax(grads, axis=0)
     best_grad = np.take_along_axis(grads, best[None, :, :], axis=0)[0]

@@ -1,6 +1,7 @@
 """CLI subcommands: analyze, optimize, pick; exit codes and file contracts."""
 import csv
 import dataclasses
+import multiprocessing
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import terrainopt
+import terrainopt.evolve as evolve
 from terrainopt import (
     CostParams,
     Grid,
@@ -239,6 +241,43 @@ class TestOptimize:
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         for name in ("pareto.csv", "history.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_outputs_identical_at_one_and_two_processes(self, tmp_path, monkeypatch):
+        dem_path = tmp_path / "dem.asc"
+        save_ascii_grid(dem_path, synthetic_dem(8, 8, seed=5))
+        args = [
+            "optimize", "--dem", str(dem_path), "--seed", "3",
+            "--population", "8", "--offspring", "6", "--generations", "3",
+        ]
+        for processes in (1, 2):
+            monkeypatch.setattr(evolve, "_usable_cpus", lambda: processes)
+            run_dir = tmp_path / f"p{processes}"
+            assert main(args + ["--out", str(run_dir)]) == 0
+            assert multiprocessing.active_children() == []
+            manifest = read_flat_config(run_dir / "manifest.txt")
+            assert manifest["result_evaluations"] == str(8 + 3 * 6)
+            assert manifest["result_processes"] == str(processes)
+        for name in ("pareto.csv", "history.csv"):
+            assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
+
+    def test_worker_failure_exits_4_with_partial_manifest(self, tmp_path, monkeypatch, capsys):
+        # the zero plan is scored here; the other plan, scored by the worker,
+        # overflows to inf in apply_plan
+        monkeypatch.setattr(evolve, "_usable_cpus", lambda: 2)
+        dem_path = tmp_path / "dem.asc"
+        save_ascii_grid(dem_path, Grid(np.full((5, 5), 4e307), 10.0))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"dem_path = {dem_path}\noutput_dir = {tmp_path / 'run'}\n"
+            "population = 2\noffspring = 2\ngenerations = 1\nseed = 0\n"
+            "lower_bound = 0\nupper_bound = 1.75e308\n"
+        )
+        assert main(["optimize", "--config", str(cfg)]) == 4
+        assert multiprocessing.active_children() == []
+        manifest = read_flat_config(tmp_path / "run" / "manifest.txt")
+        assert manifest["status"] == "partial"
+        assert manifest["error"] == "grid values must be finite"
+        assert "grid values must be finite" in capsys.readouterr().err
 
     def test_manifest_reusable_as_config(self, small_run):
         dem_path, run_dir = small_run
@@ -509,8 +548,10 @@ class TestConfigSchema:
 
 
 def test_cli_import_leaves_scipy_ndimage_unloaded():
-    # scipy.ndimage is slow to import and only synthetic_dem needs it
+    # scipy.ndimage is slow to import and only synthetic_dem needs it; the
+    # process pool's modules are imported only when run_nsga2 starts one
     src = str(Path(terrainopt.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, terrainopt.cli; sys.exit('scipy.ndimage' in sys.modules)"
+    lazy = ("scipy.ndimage", "concurrent.futures", "multiprocessing")
+    probe = f"import sys, terrainopt.cli; sys.exit(any(m in sys.modules for m in {lazy}))"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

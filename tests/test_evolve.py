@@ -1,9 +1,12 @@
 """NSGA-II operators and the seeded main loop."""
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from terrainopt import (
     CostParams,
+    Grid,
     HydroParams,
     Individual,
     ObjectiveVector,
@@ -17,6 +20,7 @@ from terrainopt import (
     synthetic_dem,
     tournament_select,
 )
+import terrainopt.evolve as evolve
 from terrainopt.evolve import ParetoArchive, _verify_archive
 
 from oracles import brute_fronts
@@ -37,6 +41,23 @@ class _FakeRng:
 
     def random(self, *_args, **_kwargs):
         return self._randoms.pop(0)
+
+
+def stable_history(archive):
+    """Every history field but wall time, which is the only non-reproducible one."""
+    return [
+        (
+            h.generation,
+            h.front_size,
+            h.path_cells_min,
+            h.path_cells_max,
+            h.v_max_min,
+            h.v_max_max,
+            h.cost_min,
+            h.cost_max,
+        )
+        for h in archive.history
+    ]
 
 
 def individual(objectives, rank=0, crowding=0.0, born=0):
@@ -239,20 +260,7 @@ class TestRunLoop:
             assert np.array_equal(ma.plan, mb.plan)
             assert ma.objectives == mb.objectives
             assert ma.born == mb.born
-        # everything but wall time is reproducible
-        def stable(stats):
-            return (
-                stats.generation,
-                stats.front_size,
-                stats.path_cells_min,
-                stats.path_cells_max,
-                stats.v_max_min,
-                stats.v_max_max,
-                stats.cost_min,
-                stats.cost_max,
-            )
-
-        assert [stable(h) for h in a.history] == [stable(h) for h in b.history]
+        assert stable_history(a) == stable_history(b)
 
     def test_zero_generations_returns_initial_front(self):
         cfg = OptimizerConfig(
@@ -319,6 +327,56 @@ class TestRunLoop:
         archive = run_nsga2(self.BASE, HP, CP, self.CFG)
         assert archive.n_var == 36
         assert archive.mutation_probability == pytest.approx(1.0 / 36.0)
+
+
+class TestParallelScoring:
+    BASE = TestRunLoop.BASE
+    CFG = TestRunLoop.CFG
+
+    def run_on(self, monkeypatch, processes, base=None, cfg=None):
+        monkeypatch.setattr(evolve, "_usable_cpus", lambda: processes)
+        return run_nsga2(self.BASE if base is None else base, HP, CP, cfg or self.CFG)
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_result_does_not_depend_on_process_count(self, monkeypatch, processes):
+        serial = self.run_on(monkeypatch, 1)
+        parallel = self.run_on(monkeypatch, processes)
+        assert multiprocessing.active_children() == []
+        assert stable_history(parallel) == stable_history(serial)
+        assert len(parallel.members) == len(serial.members)
+        for mp, ms in zip(parallel.members, serial.members):
+            assert np.array_equal(mp.plan, ms.plan)
+            assert mp.plan.tobytes() == ms.plan.tobytes()
+            assert mp.objectives == ms.objectives
+            assert mp.born == ms.born
+        assert parallel.objectives_matrix().tobytes() == serial.objectives_matrix().tobytes()
+        assert (serial.processes, parallel.processes) == (1, processes)
+
+    def test_process_count_capped_by_largest_batch(self, monkeypatch):
+        cfg = OptimizerConfig(population_size=2, offspring_size=1, generations=2, rng_seed=5)
+        archive = self.run_on(monkeypatch, 3, cfg=cfg)
+        assert archive.processes == 2
+        assert multiprocessing.active_children() == []
+
+    def test_usable_cpus_reads_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(evolve.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(evolve.os, "cpu_count", lambda: 5)
+        assert evolve._usable_cpus() == 1
+        monkeypatch.delattr(evolve.os, "sched_getaffinity")
+        assert evolve._usable_cpus() == 5
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        # the zero plan (chunk 0, scored here) is fine; the random plan
+        # (chunk 1, scored by the worker) overflows to inf in apply_plan
+        base = Grid(np.full((5, 5), 4e307), 10.0)
+        cfg = OptimizerConfig(
+            population_size=2, offspring_size=2, generations=1, rng_seed=0,
+            lower_bound=0.0, upper_bound=1.75e308,
+        )
+        with pytest.raises(ValueError, match="grid values must be finite") as excinfo:
+            self.run_on(monkeypatch, 2, base, cfg)
+        assert type(excinfo.value.__cause__).__name__ == "_RemoteTraceback"
+        assert multiprocessing.active_children() == []
 
 
 class TestOptimizerConfig:

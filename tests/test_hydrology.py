@@ -1,4 +1,6 @@
 """Depression filling, D8 routing, accumulation, slope and velocity."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from terrainopt import (
 )
 
 from oracles import (
+    CODE_TO_OFFSET,
     brute_accumulation,
     brute_d8,
     exit_cells,
@@ -232,11 +235,37 @@ class TestFlowDirections:
                     flow_directions(dem).codes, brute_d8(dem.values, dem.valid_mask, cell_size)
                 ), f"trial {trial}"
 
+    @pytest.mark.parametrize("sentinel", [1.7e308, -1.7e308])
+    def test_extreme_sentinel_never_enters_the_arithmetic(self, sentinel):
+        rng = np.random.default_rng(25)
+        grids = [(np.array([[5.0, 0.0], [3.0, 1.0]]), np.array([[True, False], [True, True]]))]
+        grids += [random_dem_values(rng, (7, 9), nodata_fraction=0.3) for _ in range(5)]
+        for values, valid in grids:
+            g = Grid(np.where(valid, values, sentinel), 0.5, nodata_sentinel=sentinel)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # as under python -W error
+                codes = flow_directions(g).codes
+            assert np.array_equal(codes, brute_d8(g.values, valid, 0.5))
+
     def test_codes_are_valid_d8(self):
         rng = np.random.default_rng(22)
         g = random_grid(rng, (10, 10))
         ff = flow_directions(fill_depressions(g, 1e-5))
         assert set(np.unique(ff.codes)) <= {0, 1, 2, 4, 8, 16, 32, 64, 128}
+
+
+def assert_basins_conserved(ff, acc):
+    """Per outlet, acc + 1 equals the number of valid cells whose path ends there."""
+    valid = acc.valid_mask
+    basin = np.zeros(acc.shape, dtype=np.int64)
+    for r, c in zip(*np.nonzero(valid)):
+        while ff.codes[r, c]:
+            dr, dc = CODE_TO_OFFSET[int(ff.codes[r, c])]
+            r, c = r + dr, c + dc
+        basin[r, c] += 1
+    outlets = valid & (ff.codes == 0)
+    assert np.array_equal(basin[outlets], acc.values[outlets] + 1)
+    assert basin.sum() == (acc.values[outlets] + 1).sum() == acc.n_valid
 
 
 class TestFlowAccumulation:
@@ -277,8 +306,6 @@ class TestFlowAccumulation:
 
     def test_conservation_upstream_sums(self):
         rng = np.random.default_rng(24)
-        from oracles import CODE_TO_OFFSET
-
         for _ in range(10):
             g = random_grid(rng, (8, 8))
             filled = fill_depressions(g, 1e-5)
@@ -292,6 +319,28 @@ class TestFlowAccumulation:
                         dr, dc = CODE_TO_OFFSET[code]
                         inflow[r + dr, c + dc] += acc.values[r, c] + 1
             assert np.array_equal(acc.values, inflow)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-5])
+    def test_conservation_per_basin(self, epsilon):
+        # every valid cell drains to exactly one outlet, so an outlet's acc + 1
+        # is the size of its basin, and the outlets' sum covers every valid cell
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+            values, valid = random_dem_values(rng, shape, nodata_fraction=rng.uniform(0.0, 0.3))
+            filled = fill_depressions(Grid(np.where(valid, values, -9999.0), 10.0), epsilon)
+            ff = flow_directions(filled)
+            assert_basins_conserved(ff, flow_accumulation(ff))
+
+    def test_conservation_two_hand_made_basins(self):
+        valid = np.array([[True, True, True, False], [True, True, True, True]])
+        grid = Grid(np.where(valid, 1.0, -9999.0), 10.0)
+        # basin A: (0,0) -> (0,1); basin B: (0,2), (1,0) -> (1,1), (1,3) -> (1,2)
+        codes = np.array([[1, 0, 4, 0], [1, 1, 0, 16]], dtype=np.uint8)
+        ff = FlowField(codes, grid)
+        acc = flow_accumulation(ff)
+        assert acc.values[valid].tolist() == [0.0, 1.0, 0.0, 0.0, 1.0, 4.0, 0.0]
+        assert_basins_conserved(ff, acc)
 
     def test_cycle_detected(self):
         grid = Grid(np.array([[1.0, 1.0]]), 10.0)
