@@ -18,9 +18,8 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -48,7 +47,6 @@ from .hydrology import (
 )
 from .objectives import CostParams, ObjectiveVector, apply_plan, plan_to_grid
 from .raster import (
-    DEFAULT_NODATA,
     Grid,
     GridFormatError,
     _format_value,
@@ -295,21 +293,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _save(path: Path, grid: Grid) -> None:
-    """Write ``grid``, with a sentinel no valid cell holds if its own is taken.
-
-    The ASCII format marks a missing cell only by its value, so a valid cell
-    equal to the sentinel (a zero accumulation under ``NODATA_value 0``)
-    would read back as nodata.
-    """
-    valid_values = grid.values[grid.valid_mask]
-    if (valid_values == grid.nodata_sentinel).any():
-        sentinel = min(DEFAULT_NODATA, math.floor(valid_values.min()) - 1.0)
-        values = np.where(grid.valid_mask, grid.values, sentinel)
-        grid = replace(grid, values=values, nodata_sentinel=sentinel)
-    save_ascii_grid(path, grid)
-
-
 def _objective_row(o: ObjectiveVector) -> list[str]:
     return [str(o.path_cells), _format_value(o.v_max), _format_value(o.cost)]
 
@@ -328,14 +311,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     slope_grid = slope(filled)
     velocity = runoff_velocity(slope_grid, acc, hp, cfg.cost.cell_area)
 
-    codes = np.where(dem.valid_mask, ff.codes.astype(np.float64), dem.nodata_sentinel)
-    path_raster = np.where(dem.valid_mask, mask.astype(np.float64), dem.nodata_sentinel)
-    _save(out_dir / "filled.asc", filled)
-    _save(out_dir / "flow_directions.asc", dem.with_values(codes))
-    _save(out_dir / "flow_accumulation.asc", acc)
-    _save(out_dir / "flow_path.asc", dem.with_values(path_raster))
-    _save(out_dir / "slope.asc", slope_grid)
-    _save(out_dir / "velocity.asc", velocity)
+    save_ascii_grid(out_dir / "filled.asc", filled)
+    save_ascii_grid(out_dir / "flow_directions.asc", dem.with_values(ff.codes))
+    save_ascii_grid(out_dir / "flow_accumulation.asc", acc)
+    save_ascii_grid(out_dir / "flow_path.asc", dem.with_values(mask))
+    save_ascii_grid(out_dir / "slope.asc", slope_grid)
+    save_ascii_grid(out_dir / "velocity.asc", velocity)
 
     max_acc = float(acc.values[acc.valid_mask].max())
     threshold = accumulation_threshold(acc, hp.accumulation_threshold_fraction)
@@ -374,8 +355,8 @@ def _export_selections(
     ]
     rows = []
     for role, member in selections:
-        _save(out_dir / f"{role}_delta.asc", plan_to_grid(base, member.plan))
-        _save(out_dir / f"{role}_dem.asc", apply_plan(base, member.plan))
+        save_ascii_grid(out_dir / f"{role}_delta.asc", plan_to_grid(base, member.plan))
+        save_ascii_grid(out_dir / f"{role}_dem.asc", apply_plan(base, member.plan))
         rows.append([role, str(index_of[id(member)])] + _objective_row(member.objectives))
     _write_csv(
         out_dir / "summary.csv",
@@ -414,7 +395,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 raster_dir = snap_dir / f"gen{gen:04d}"
                 raster_dir.mkdir(exist_ok=True)
                 for i, member in enumerate(front):
-                    _save(raster_dir / f"member_{i:04d}.asc", plan_to_grid(dem, member.plan))
+                    save_ascii_grid(
+                        raster_dir / f"member_{i:04d}.asc", plan_to_grid(dem, member.plan)
+                    )
 
     try:
         archive = run_nsga2(dem, cfg.hydro, cfg.cost, cfg.optimizer, on_generation)
@@ -429,7 +412,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             ],
         )
         for i, member in enumerate(archive.members):
-            _save(genomes_dir / f"member_{i:04d}.asc", plan_to_grid(dem, member.plan))
+            save_ascii_grid(genomes_dir / f"member_{i:04d}.asc", plan_to_grid(dem, member.plan))
         rows = _export_selections(
             run_dir / "picks", dem, archive, cfg.weights, cfg.rho, cfg.every_k
         )
@@ -469,27 +452,34 @@ def _load_archive(
     base = _load_dem(cfg)
     members = []
     with open(pareto, newline="") as fh:
-        for row in csv.DictReader(fh):
-            raster_path = genomes / f"member_{int(row['id']):04d}.asc"
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                member_id = int(row["id"])
+                objectives = ObjectiveVector(
+                    path_cells=int(row["path_cells"]),
+                    v_max=float(row["v_max_mps"]),
+                    cost=float(row["cost"]),
+                )
+                checksum = row["delta_checksum"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(
+                    f"corrupt run artifact: {pareto}, line {reader.line_num}: {exc}"
+                ) from exc
+            raster_path = genomes / f"member_{member_id:04d}.asc"
             if not raster_path.exists():
                 raise InputError(f"missing run artifact: {raster_path}")
-            delta_grid = load_ascii_grid(raster_path)
+            try:
+                delta_grid = load_ascii_grid(raster_path)
+            except GridFormatError as exc:
+                raise InputError(f"corrupt run artifact: {raster_path}: {exc}") from exc
             if delta_grid.shape != base.shape:
                 raise InputError(f"{raster_path}: shape does not match the DEM")
             # the DEM's mask, not the sentinel: a zero delta may equal the sentinel
             plan = delta_grid.values[base.valid_mask].copy()
-            if plan_checksum(plan) != row["delta_checksum"]:
+            if plan_checksum(plan) != checksum:
                 raise InputError(f"corrupt run artifact: {raster_path} fails its checksum")
-            members.append(
-                Individual(
-                    plan=plan,
-                    objectives=ObjectiveVector(
-                        path_cells=int(row["path_cells"]),
-                        v_max=float(row["v_max_mps"]),
-                        cost=float(row["cost"]),
-                    ),
-                )
-            )
+            members.append(Individual(plan=plan, objectives=objectives))
     if not members:
         raise InputError(f"{pareto}: no archive members")
     archive = ParetoArchive(

@@ -262,10 +262,7 @@ def flow_accumulation(ff: FlowField) -> Grid:
         raise FlowCycleError(
             f"flow directions contain a cycle ({ds.shape[0] - processed} cells unresolved)"
         )
-    grid = ff.grid
-    counts = np.array(acc, dtype=np.float64).reshape(grid.shape)
-    values = np.where(grid.valid_mask, counts, grid.nodata_sentinel)
-    return grid.with_values(values)
+    return ff.grid.with_values(np.array(acc, dtype=np.float64).reshape(ff.grid.shape))
 
 
 def accumulation_threshold(acc: Grid, fraction: float) -> float:
@@ -302,10 +299,22 @@ def slope(dem: Grid) -> Grid:
     nb = [np.where(np.isnan(v), z, v) for v in _neighbors(_pad(z, np.nan))]
     e, se, s, sw, w_, nw, n_, ne = nb
     denom = 8.0 * dem.cell_size
-    gx = ((ne + 2.0 * e + se) - (nw + 2.0 * w_ + sw)) / denom
-    gy = ((sw + 2.0 * s + se) - (nw + 2.0 * n_ + ne)) / denom
-    grad = np.sqrt(gx * gx + gy * gy)
-    return dem.with_values(np.where(valid, grad, dem.nodata_sentinel))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = ((ne + 2.0 * e + se) - (nw + 2.0 * w_ + sw)) / denom
+        gy = ((sw + 2.0 * s + se) - (nw + 2.0 * n_ + ne)) / denom
+        grad = np.sqrt(gx * gx + gy * gy)
+        # elevations past about 4e307 overflow the sums above; there, take each
+        # neighbor's difference to the center (whose weights cancel), halved
+        # first so it cannot overflow, and scale it before summing
+        redo = valid & ~np.isfinite(grad)
+        if redo.any():
+            c = z[redo] / 2.0
+            e, se, s, sw, w_, nw, n_, ne = ((v[redo] / 2.0 - c) / (denom / 2.0) for v in nb)
+            grad[redo] = np.hypot(
+                (ne + 2.0 * e + se) - (nw + 2.0 * w_ + sw),
+                (sw + 2.0 * s + se) - (nw + 2.0 * n_ + ne),
+            )
+    return dem.with_values(grad)
 
 
 def runoff_velocity(slope_grid: Grid, acc: Grid, params: HydroParams, cell_area: float) -> Grid:
@@ -329,8 +338,7 @@ def runoff_velocity(slope_grid: Grid, acc: Grid, params: HydroParams, cell_area:
     core = np.zeros_like(s)
     np.divide(q, params.channel_width, out=core, where=flowing)
     core = np.where(flowing, (np.sqrt(s) / params.manning_n) * core ** (2.0 / 3.0), 0.0)
-    v = np.where(flowing, core ** 0.6, 0.0)
-    return slope_grid.with_values(np.where(valid, v, slope_grid.nodata_sentinel))
+    return slope_grid.with_values(np.where(flowing, core ** 0.6, 0.0))
 
 
 def max_velocity(v: Grid) -> float:

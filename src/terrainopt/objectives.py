@@ -87,7 +87,9 @@ def apply_plan(base: Grid, deltas: np.ndarray) -> Grid:
             f"plan length {deltas.shape} does not match {base.n_valid} valid cells"
         )
     values = base.values.copy()
-    values[base.valid_mask] += deltas
+    # an overflow to inf is reported by with_values as a ValueError, not as a warning
+    with np.errstate(over="ignore"):
+        values[base.valid_mask] += deltas
     return base.with_values(values)
 
 
@@ -98,7 +100,7 @@ def plan_to_grid(base: Grid, deltas: np.ndarray) -> Grid:
         raise ValueError(
             f"plan length {deltas.shape} does not match {base.n_valid} valid cells"
         )
-    values = np.full(base.shape, base.nodata_sentinel)
+    values = np.zeros(base.shape)
     values[base.valid_mask] = deltas
     return base.with_values(values)
 

@@ -6,11 +6,10 @@ corner. Row 0 is the northernmost row, matching the file order of the
 ASCII grid format, and values are stored row-major.
 
 The ASCII grid (``.asc``) format is the only interchange format used by
-this package. Values are rendered with shortest round-trip decimals so
-that ``parse_ascii_grid(write_ascii_grid(g)) == g`` holds exactly when no
-valid cell holds the sentinel; the format marks a missing cell only by its
-value. When a valid cell does hold it, the CLI writes the raster with a
-sentinel no valid cell takes.
+this package. It marks a missing cell only by its value, so
+:func:`write_ascii_grid` writes a sentinel that no valid cell holds, and
+values as shortest round-trip decimals: ``parse_ascii_grid`` of the output
+keeps every valid value and the valid mask exactly.
 """
 from __future__ import annotations
 
@@ -132,7 +131,11 @@ class Grid:
         return int(self.valid_mask.sum())
 
     def with_values(self, values: np.ndarray) -> "Grid":
-        """New grid with the same georeferencing and valid mask but different values."""
+        """New grid with the same georeferencing and valid mask, holding ``values``.
+
+        Nodata cells hold this grid's sentinel, whatever ``values`` has there.
+        """
+        values = np.where(self.valid_mask, values, self.nodata_sentinel)
         return Grid(
             values, self.cell_size, self.x_ll, self.y_ll, self.nodata_sentinel, self.valid_mask
         )
@@ -179,19 +182,27 @@ def write_ascii_grid(grid: Grid) -> str:
     """Render a grid in ESRI ASCII format.
 
     Emits the six header lines followed by one line per raster row
-    (northernmost first). Value tokens use the shortest decimal
-    representation that round-trips, so parsing the output reproduces
-    the grid exactly.
+    (northernmost first). ``NODATA_value`` is the grid's sentinel unless a
+    valid cell holds it; then it is the first float, counting up from
+    ``min(-9999, floor(min valid) - 1)``, that no valid cell holds. Value
+    tokens use the shortest decimal representation that round-trips, so
+    parsing the output gives back the valid mask and every valid value.
     """
+    data = grid.values[grid.valid_mask]
+    sentinel = grid.nodata_sentinel
+    if (data == sentinel).any():
+        sentinel = min(DEFAULT_NODATA, math.floor(data.min()) - 1.0)
+        while (data == sentinel).any():  # a |min valid| >= 2**53 absorbs the - 1
+            sentinel = float(np.nextafter(sentinel, np.inf))
     lines = [
         f"ncols {grid.n_cols}",
         f"nrows {grid.n_rows}",
         f"xllcorner {_format_value(grid.x_ll)}",
         f"yllcorner {_format_value(grid.y_ll)}",
         f"cellsize {_format_value(grid.cell_size)}",
-        f"NODATA_value {_format_value(grid.nodata_sentinel)}",
+        f"NODATA_value {_format_value(sentinel)}",
     ]
-    for row in grid.values:
+    for row in np.where(grid.valid_mask, grid.values, sentinel):
         lines.append(" ".join(_format_value(v) for v in row))
     return "\n".join(lines) + "\n"
 

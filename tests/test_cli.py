@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,15 @@ class TestAnalyze:
         captured = capsys.readouterr().out
         assert "max_accumulation = 718" in captured
         assert "threshold = 0.02 x 718 = 14.36" in captured
+
+    def test_flat_dem_at_float_maximum(self, tmp_path):
+        dem_path = tmp_path / "high.asc"
+        save_ascii_grid(dem_path, Grid(np.full((3, 3), 1.7e308), 10.0))
+        out = tmp_path / "a"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--dem", str(dem_path), "--out", str(out)]) == 0
+        assert np.all(load_ascii_grid(out / "slope.asc").values == 0.0)
 
     def test_all_nodata_dem_is_input_error(self, tmp_path, capsys):
         dem_path = tmp_path / "bad.asc"
@@ -425,6 +435,25 @@ class TestPick:
         save_ascii_grid(run_dir / "genomes" / "member_0000.asc", Grid(np.zeros((2, 2)), 10.0))
         assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
         assert "shape does not match" in capsys.readouterr().err
+
+    def test_malformed_genome_is_input_error(self, small_run, capsys):
+        _, run_dir = small_run
+        target = run_dir / "genomes" / "member_0000.asc"
+        lines = target.read_text().splitlines()
+        lines[6] = " ".join(["abc"] + lines[6].split()[1:])  # first data token
+        target.write_text("\n".join(lines) + "\n")
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "member_0000.asc" in err and "non-numeric data token 'abc'" in err
+
+    def test_malformed_pareto_row_is_input_error(self, small_run, capsys):
+        _, run_dir = small_run
+        pareto = run_dir / "pareto.csv"
+        header, first, *rest = pareto.read_text().splitlines()
+        pareto.write_text("\n".join([header, "x" + first] + rest) + "\n")
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "pareto.csv, line 2" in err and "invalid literal for int()" in err
 
     def test_missing_artifacts_detected(self, small_run, capsys):
         _, run_dir = small_run

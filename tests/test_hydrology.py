@@ -422,14 +422,41 @@ class TestSlope:
         assert np.all(s.values[g.valid_mask] >= 0.0)
 
     def test_matches_scalar_oracle_with_nodata(self):
+        # bit for bit: the overflow fallback must not touch finite gradients
         rng = np.random.default_rng(42)
-        g = random_grid(rng, (6, 6), nodata_fraction=0.2)
-        s = slope(g)
-        for r in range(6):
-            for c in range(6):
-                if g.valid_mask[r, c]:
-                    expected = horn_slope_scalar(g.values, g.valid_mask, r, c, 10.0)
-                    assert s.values[r, c] == pytest.approx(expected, rel=1e-13, abs=1e-15)
+        for trial in range(40):
+            shape = tuple(rng.integers(1, 10, size=2))
+            values, valid = random_dem_values(rng, shape, float(rng.uniform(0.0, 0.3)))
+            if trial % 2:
+                values = np.round(values)
+            cell_size = float(rng.choice([0.5, 1.0, 10.0, 3.7]))
+            g = Grid(np.where(valid, values, -9999.0), cell_size, valid_mask=valid)
+            s = slope(g)
+            for r, c in np.argwhere(valid):
+                expected = horn_slope_scalar(g.values, valid, r, c, cell_size)
+                assert s.values[r, c] == expected, (trial, r, c)
+
+    @pytest.mark.parametrize("cell_size", [0.1, 10.0])
+    def test_flat_at_float_maximum_is_zero(self, cell_size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = slope(Grid(np.full((3, 3), 1.7e308), cell_size))
+        assert np.all(s.values == 0.0)
+
+    def test_steep_near_float_maximum_keeps_its_gradient(self):
+        # the Horn sums overflow here; 1e307 m drop per 10 m cell is a slope of 1e306
+        cols = np.arange(5.0)
+        plane = Grid(np.tile(1.7e308 - 1e307 * cols, (5, 1)), 10.0)
+        # a centre at +1.7e308 beside an east neighbor at -1.7e308: gx = -6.8e308 / 80
+        cliff = np.full((3, 3), 1.7e308)
+        cliff[1, 2] = -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s_plane = slope(plane)
+            s_cliff = slope(Grid(cliff, 10.0))
+        assert np.allclose(s_plane.values[1:-1, 1:-1], 1e306, rtol=1e-12, atol=0)
+        assert s_cliff.values[1, 1] == pytest.approx(8.5e306, rel=1e-15)
+        assert np.isfinite(s_cliff.values).all()
 
     def test_nodata_cells_carry_sentinel(self):
         values = np.array([[1.0, -9999.0], [2.0, 3.0]])

@@ -1,4 +1,6 @@
 """Plan application, earthwork cost and full three-objective evaluation."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,13 @@ class TestApplyPlan:
         assert out.values[0, 2] == -9999.0
         assert out.values[2, 0] == -9999.0
         assert out.values[0, 0] == 21.5
+
+    def test_overflow_raises_only_value_error(self):
+        g = Grid(np.array([[1e308]]), 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid values must be finite"):
+                apply_plan(g, np.array([1e308]))
 
     def test_apply_then_negate_recovers_base(self, masked_base):
         # deltas on a dyadic lattice keep the float arithmetic exact
@@ -181,6 +190,13 @@ class TestEvaluate:
             return Grid(np.where(valid, values, s), 10.0, nodata_sentinel=s, valid_mask=valid)
 
         assert evaluate(grid(sentinel), plan, HP, CP) == evaluate(grid(-9999.0), plan, HP, CP)
+
+    def test_flat_grid_at_float_maximum(self):
+        # a valid ESRI grid: Horn's neighbor sums overflow but the slope is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = evaluate(Grid(np.full((3, 3), 1.7e308), 10.0), np.zeros(9), HP, CP)
+        assert result == ObjectiveVector(path_cells=0, v_max=0.0, cost=0.0)
 
     def test_length_mismatch_propagates(self, east_plane):
         with pytest.raises(ValueError, match="plan length"):

@@ -6,12 +6,15 @@ from terrainopt import (
     CellIndex,
     Grid,
     GridFormatError,
+    load_ascii_grid,
     neighbors8,
     parse_ascii_grid,
+    save_ascii_grid,
     write_ascii_grid,
 )
 
 MINIMAL = "ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 10\n42.0\n"
+FLOAT_MAX = np.finfo(np.float64).max
 
 
 class TestGrid:
@@ -172,6 +175,40 @@ class TestWrite:
                 y_ll=float(rng.normal(0, 1e5)),
             )
             assert parse_ascii_grid(write_ascii_grid(g)) == g, f"trial {trial}"
+
+    @pytest.mark.parametrize(
+        "row, sentinel, written",
+        [
+            ([1.0, 0.0, 2.0], 0.0, -9999.0),
+            ([1.0, -9999.0, 2.0], -9999.0, -10000.0),
+            ([0.0, -1e17, 5.0], 0.0, None),  # floor(min) - 1 is -1e17 again
+            ([0.0, -FLOAT_MAX, 5.0], 0.0, None),
+            ([-FLOAT_MAX, FLOAT_MAX, -9999.0], -9999.0, None),
+        ],
+    )
+    def test_sentinel_held_by_a_valid_cell_is_replaced(self, row, sentinel, written):
+        g = Grid(np.array([row]), 1.0, nodata_sentinel=sentinel, valid_mask=np.ones((1, 3), bool))
+        text = write_ascii_grid(g)
+        nodata = float(text.splitlines()[5].split()[1])
+        assert np.isfinite(nodata) and nodata not in row
+        if written is not None:
+            assert nodata == written
+        back = parse_ascii_grid(text)
+        assert back.valid_mask.all()
+        assert np.array_equal(back.values, g.values)
+
+    def test_save_load_keeps_mask_and_valid_values(self, tmp_path):
+        # integer values under sentinel 0 put valid zeros next to nodata cells
+        rng = np.random.default_rng(6)
+        for trial in range(40):
+            values = np.round(rng.normal(0.0, 2.0, size=(5, 7)))
+            valid = rng.random((5, 7)) >= 0.3
+            values[~valid] = 0.0
+            g = Grid(values, 10.0, nodata_sentinel=0.0, valid_mask=valid)
+            save_ascii_grid(tmp_path / "g.asc", g)
+            back = load_ascii_grid(tmp_path / "g.asc")
+            assert np.array_equal(back.valid_mask, valid), f"trial {trial}"
+            assert np.array_equal(back.values[valid], values[valid]), f"trial {trial}"
 
 
 class TestNeighbors8:
