@@ -134,7 +134,28 @@ def _edge_and_nodata_adjacent(valid: np.ndarray) -> np.ndarray:
 
 
 def _priority_flood(values, valid, seeds, epsilon):
-    """heapq priority flood popping by (elevation, index).
+    """Priority flood popping by (elevation, index); only raised cells use the heap.
+
+    A plain priority flood pushes every cell it reaches onto one heap. Here
+    the candidates come from two sources, merged by key:
+
+    * ``keys``, every valid cell's ``(z, index)`` presorted once, walked by a
+      cursor ``a``. A cell waits its turn there once it is *reached*
+      (visited, not raised); seeds start reached. The cursor skips cells no
+      one has reached. A key keeps the input elevation: the stream stays
+      sorted, and a raised cell's entry is only ever skipped.
+    * a heap holding only the cells raised to ``z_i + epsilon``, plus the
+      reached cells whose stream turn has already gone by.
+
+    The cursor passes a cell only when its key is below every heap key, and
+    popped elevations never decrease, so a cell reached behind the cursor
+    ties the elevation being popped exactly (``epsilon == 0``, or
+    ``epsilon`` below one ulp of ``z``); such a cell goes on the heap. The
+    candidate set is therefore that of the single-heap flood at every step,
+    and its minimum is always taken: the pop order, and so every filled
+    value, is the same. This is the pit queue of Barnes, Lehman & Mulla
+    (2014) and Zhou, Sun & Fu (2016), with a presorted stream in place of
+    a FIFO so that the order is kept exactly.
 
     The grid is padded with a one-cell border that counts as visited, so a
     neighbor is ``i + offset`` with no bounds check. Padding keeps
@@ -143,15 +164,28 @@ def _priority_flood(values, valid, seeds, epsilon):
     """
     h, w = values.shape
     width = w + 2
-    out = _pad(values, 0.0).ravel().tolist()
+    padded = _pad(values, 0.0).ravel()
+    cells = np.flatnonzero(_pad(valid, False))
+    order = cells[np.argsort(padded[cells], kind="stable")]
+    keys = list(zip(padded[order].tolist(), order.tolist()))
+    pos = np.zeros(padded.size, dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    pos = pos.tolist()
+    out = padded.tolist()
     visited = _pad(~valid | seeds, True).ravel().tolist()  # never enter the border or nodata
-    rows, cols = np.nonzero(seeds)
-    heap = [(out[i], i) for i in ((rows + 1) * width + cols + 1).tolist()]
-    heapq.heapify(heap)
+    reached = _pad(seeds, False).ravel().tolist()
     offsets = [dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]
+    heap = []
     heappop, heappush = heapq.heappop, heapq.heappush
-    while heap:
-        z_i, i = heappop(heap)
+    a, n = 0, len(keys)
+    while a < n or heap:
+        if heap and (a == n or heap[0] < keys[a]):
+            z_i, i = heappop(heap)
+        else:
+            z_i, i = keys[a]
+            a += 1
+            if not reached[i]:
+                continue
         floor = z_i + epsilon
         for offset in offsets:
             j = i + offset
@@ -160,8 +194,12 @@ def _priority_flood(values, valid, seeds, epsilon):
             visited[j] = True
             z_j = out[j]
             if z_j < floor:
-                z_j = out[j] = floor
-            heappush(heap, (z_j, j))
+                out[j] = floor
+                heappush(heap, (floor, j))
+            elif pos[j] < a:
+                heappush(heap, (z_j, j))
+            else:
+                reached[j] = True
     return np.array(out).reshape(h + 2, width)[1:-1, 1:-1]
 
 
@@ -199,11 +237,23 @@ def flow_directions(filled_dem: Grid) -> FlowField:
     padded = _pad(np.where(valid, z, np.inf), np.inf)
     centre = np.where(valid, z, -np.inf)
     grads = np.empty((8,) + z.shape)
-    for k, ((dr, dc), nb) in enumerate(zip(NEIGHBOR_OFFSETS, _neighbors(padded))):
-        np.subtract(centre, nb, out=grads[k])
-        grads[k] /= diag if dr and dc else filled_dem.cell_size
+    with np.errstate(over="ignore"):
+        for k, ((dr, dc), nb) in enumerate(zip(NEIGHBOR_OFFSETS, _neighbors(padded))):
+            np.subtract(centre, nb, out=grads[k])
+            grads[k] /= diag if dr and dc else filled_dem.cell_size
     best = np.argmax(grads, axis=0)
     best_grad = np.take_along_axis(grads, best[None, :, :], axis=0)[0]
+    # a drop or gradient past the float range ties at inf with every other one
+    # that overflowed; there, compare drops halved first so they cannot
+    # overflow, per unit of cell size (a common factor)
+    redo = valid & (best_grad == np.inf)
+    if redo.any():
+        c = centre[redo] / 2.0
+        halved = [
+            (c - nb[redo] / 2.0) / math.hypot(dr, dc)
+            for (dr, dc), nb in zip(NEIGHBOR_OFFSETS, _neighbors(padded))
+        ]
+        best[redo] = np.argmax(halved, axis=0)
     codes = np.where(valid & (best_grad > 0), D8_CODES[best], OUTLET).astype(np.uint8)
     return FlowField(codes, filled_dem)
 
@@ -291,7 +341,8 @@ def slope(dem: Grid) -> Grid:
 
     Missing window neighbors (outside the grid or nodata) are replaced by
     the center cell's value, which zeroes their contribution to the
-    gradient.
+    gradient. A gradient past the float range raises ``ValueError: grid
+    values must be finite``.
     """
     valid = dem.valid_mask
     # grid values are finite, so NaN marks exactly the missing cells
@@ -332,12 +383,18 @@ def runoff_velocity(slope_grid: Grid, acc: Grid, params: HydroParams, cell_area:
     valid = slope_grid.valid_mask
     s = np.where(valid, slope_grid.values, 0.0)
     if params.slope_as_percent:
-        s = s * 100.0
+        with np.errstate(over="ignore"):
+            root = np.sqrt(s * 100.0)
+        # a slope past ~1.8e306 overflows as a percentage; its root does not
+        over = np.isinf(root)
+        root[over] = 10.0 * np.sqrt(s[over])
+    else:
+        root = np.sqrt(s)
     q = (np.where(valid, acc.values, 0.0) + 1.0) * params.rain_intensity * cell_area
     flowing = (s > 0) & (q > 0)
     core = np.zeros_like(s)
     np.divide(q, params.channel_width, out=core, where=flowing)
-    core = np.where(flowing, (np.sqrt(s) / params.manning_n) * core ** (2.0 / 3.0), 0.0)
+    core = np.where(flowing, (root / params.manning_n) * core ** (2.0 / 3.0), 0.0)
     return slope_grid.with_values(np.where(flowing, core ** 0.6, 0.0))
 
 

@@ -128,7 +128,10 @@ def evaluate(base: Grid, deltas: np.ndarray, hp: HydroParams, cp: CostParams) ->
     then: flow-path length from thresholded D8 accumulation, maximum
     Manning velocity from Horn slope and accumulation, and earthwork
     cost from the deltas. Pure function: identical inputs give identical
-    outputs.
+    outputs. Any finite grid evaluates without a numeric warning; where a
+    plan overflows an elevation, or a slope lies past the float range
+    (1e307 m of drop over a 0.01 m cell), it raises ``ValueError: grid
+    values must be finite``.
     """
     modified = apply_plan(base, deltas)
     filled = fill_depressions(modified, hp.fill_epsilon)

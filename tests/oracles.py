@@ -8,6 +8,7 @@ instead of vectorized numpy.
 """
 import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,12 +46,12 @@ def brute_accumulation(codes: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return acc
 
 
-def brute_d8(values: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
-    """Steepest-descent D8 codes by scanning each valid cell's neighbors.
+def _steepest_descent(values, valid, steepness):
+    """D8 codes by scanning each valid cell's neighbors with ``steepness(z, z_nb, dr, dc)``.
 
-    A code wins only with a strictly larger positive drop per unit
-    distance, so ties go to the first code in E, SE, ..., NE order; a cell
-    with no lower valid neighbor, and every nodata cell, carries 0.
+    A code wins only with a strictly larger positive steepness, so ties go
+    to the first code in E, SE, ..., NE order; a cell with no lower valid
+    neighbor, and every nodata cell, carries 0.
     """
     h, w = values.shape
     codes = np.zeros((h, w), dtype=np.uint8)
@@ -58,17 +59,38 @@ def brute_d8(values: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndar
         for c in range(w):
             if not valid[r, c]:
                 continue
-            best = 0.0
+            best = 0
             for code, (dr, dc) in CODE_TO_OFFSET.items():
                 nr, nc = r + dr, c + dc
                 if not (0 <= nr < h and 0 <= nc < w and valid[nr, nc]):
                     continue
-                distance = cell_size * math.hypot(dr, dc)
-                drop = (float(values[r, c]) - float(values[nr, nc])) / distance
-                if drop > best:
-                    best = drop
+                s = steepness(float(values[r, c]), float(values[nr, nc]), dr, dc)
+                if s > best:
+                    best = s
                     codes[r, c] = code
     return codes
+
+
+def brute_d8(values: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
+    """Steepest-descent D8 codes from float drops per unit distance."""
+    return _steepest_descent(
+        values, valid, lambda z, z_nb, dr, dc: (z - z_nb) / (cell_size * math.hypot(dr, dc))
+    )
+
+
+def exact_d8(values: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
+    """Steepest-descent D8 codes in exact rational arithmetic.
+
+    Squared positive drops over squared distances keep sqrt(2) exact, and
+    nothing overflows, so this holds for elevations across the whole float
+    range, where :func:`brute_d8`'s float drops reach inf.
+    """
+
+    def steepness(z, z_nb, dr, dc):
+        drop = Fraction(z) - Fraction(z_nb)
+        return drop * drop / (Fraction(cell_size) ** 2 * (dr * dr + dc * dc)) if drop > 0 else 0
+
+    return _steepest_descent(values, valid, steepness)
 
 
 def spill_fill(values: np.ndarray, valid: np.ndarray) -> np.ndarray:

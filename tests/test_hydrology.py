@@ -26,6 +26,7 @@ from oracles import (
     CODE_TO_OFFSET,
     brute_accumulation,
     brute_d8,
+    exact_d8,
     exit_cells,
     has_descending_exit_path,
     horn_slope_scalar,
@@ -143,18 +144,41 @@ class TestFillDepressions:
         with pytest.raises(ValueError, match="epsilon"):
             fill_depressions(east_plane, -1.0)
 
-    @pytest.mark.parametrize("epsilon", [0.0, 1e-5, 0.3])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-12, 1e-5, 0.3])
     def test_matches_reference_flood(self, epsilon):
         rng = np.random.default_rng(15)
         shapes = [(9, 9)] * 10 + [(40, 37)] * 2 + [(1, 1), (1, 17), (17, 1), (1, 40), (40, 1)]
+        cases = []
         for trial, shape in enumerate(shapes):
             values, valid = random_dem_values(rng, shape, nodata_fraction=rng.uniform(0.0, 0.2))
             if trial % 2:
                 values = np.round(values)  # flats and elevation ties
+            cases.append((values, valid))
+        for trial in range(6):
+            values, valid = random_dem_values(rng, (9, 9), nodata_fraction=0.1 * (trial % 3))
+            cases.append((np.full((9, 9), 3.0), valid))  # one dead flat
+            cases.append((np.round(values / 4.0), valid))  # four levels: many ties
+        # the seed (1, 4) reaches (1, 3) only after the stream has passed that
+        # lower-index cell of equal height; the pit at (1, 1) then spills through it
+        chain = np.array([[9.0] * 5, [9.0, 0.0, 1.0, 1.0, 1.0], [9.0] * 5])
+        cases.append((chain, np.ones(chain.shape, dtype=bool)))
+        # at 1e12 one ulp is 2**-13, so z + 1e-12 and z + 1e-5 round back to z there
+        cases += [(values + 1e12, valid) for values, valid in cases]
+        for trial, (values, valid) in enumerate(cases):
             g = Grid(np.where(valid, values, -9999.0), 10.0)
             assert np.array_equal(fill_depressions(g, epsilon).values, reference_fill(g, epsilon)), (
                 f"trial {trial}"
             )
+
+    @given(
+        g=dems(),
+        epsilon=st.sampled_from([0.0, 1e-12, 1e-5, 0.3]),
+        offset=st.sampled_from([0.0, 1e12]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_matches_reference_flood(self, g, epsilon, offset):
+        g = Grid(np.where(g.valid_mask, g.values + offset, -9999.0), 10.0)
+        assert np.array_equal(fill_depressions(g, epsilon).values, reference_fill(g, epsilon))
 
     @given(g=dems(), epsilon=st.sampled_from([0.0, 1e-5, 0.3]))
     @settings(max_examples=150, deadline=None)
@@ -246,6 +270,30 @@ class TestFlowDirections:
                 warnings.simplefilter("error")  # as under python -W error
                 codes = flow_directions(g).codes
             assert np.array_equal(codes, brute_d8(g.values, valid, 0.5))
+
+    @pytest.mark.parametrize("cell_size", [0.01, 1.0, 10.0])
+    def test_matches_exact_oracle_across_the_float_range(self, cell_size):
+        # both drops from the cliff's centre overflow to inf, yet SE is the
+        # steeper: 3.4e308 / sqrt(2) beats 2.2e308
+        cliff = np.full((3, 3), 1.7e308)
+        cliff[1, 2] = -0.5e308
+        cliff[2, 2] = -1.7e308
+        # at cell size 0.01 the plane's 1e307 drop per cell is a gradient of
+        # 1e309, past the float range
+        plane = np.tile(1.7e308 - 1e307 * np.arange(5.0), (5, 1))
+        grids = [(v, np.ones(v.shape, dtype=bool)) for v in (cliff, plane)]
+        rng = np.random.default_rng(26)
+        for _ in range(5):
+            values, valid = random_dem_values(rng, (7, 7), nodata_fraction=0.2)
+            grids.append(((values - 15.0) * 3e307, valid))
+        for trial, (values, valid) in enumerate(grids):
+            g = Grid(np.where(valid, values, -9999.0), cell_size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                codes = flow_directions(g).codes
+            assert np.array_equal(codes, exact_d8(g.values, valid, cell_size)), f"trial {trial}"
+            if trial == 0:
+                assert codes[1, 1] == 2
 
     def test_codes_are_valid_d8(self):
         rng = np.random.default_rng(22)
@@ -516,6 +564,18 @@ class TestRunoffVelocity:
         q = 5 * 0.25 * 2.0
         assert v_pct == pytest.approx(scalar_velocity(s_val * 100.0, 0.1, q, 1.0), rel=1e-12)
         assert v_pct > runoff_velocity(sg, ag, hp_frac, cell_area=2.0).values[0, 0]
+
+    def test_percent_slope_past_float_range(self):
+        # 100 * 1e307 overflows; sqrt(100 S) is 10 sqrt(S), so V gains 10 ** 0.6
+        sg = Grid(np.array([[0.03, 1e307]]), 10.0)
+        ag = Grid(np.array([[4.0, 4.0]]), 10.0)
+        hp = HydroParams(rain_intensity=0.25, slope_as_percent=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = runoff_velocity(sg, ag, hp, cell_area=2.0).values
+        q = 5 * 0.25 * 2.0
+        assert v[0, 0] == pytest.approx(scalar_velocity(3.0, 0.1, q, 1.0), rel=1e-12)
+        assert v[0, 1] == pytest.approx(10.0 ** 0.6 * scalar_velocity(1e307, 0.1, q, 1.0), rel=1e-12)
 
     def test_incongruent_grids_rejected(self):
         sg = Grid(np.ones((2, 2)), 10.0)

@@ -198,6 +198,25 @@ class TestEvaluate:
             result = evaluate(Grid(np.full((3, 3), 1.7e308), 10.0), np.zeros(9), HP, CP)
         assert result == ObjectiveVector(path_cells=0, v_max=0.0, cost=0.0)
 
+    def test_steep_plane_near_float_maximum_in_percent(self):
+        # 1e307 m per 1 m cell from 1.7e308: Horn's sums and the percent slope overflow
+        plane = Grid(np.tile(1.7e308 - 1e307 * np.arange(5.0), (5, 1)), 1.0)
+        cp = CostParams(cell_area=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            percent = evaluate(plane, np.zeros(25), HydroParams(slope_as_percent=True), cp)
+            fraction = evaluate(plane, np.zeros(25), HP, cp)
+        assert percent.path_cells == fraction.path_cells
+        assert percent.v_max == pytest.approx(10.0 ** 0.6 * fraction.v_max, rel=1e-12)
+
+    def test_gradient_past_float_range_raises_only_value_error(self):
+        # 1e307 m per 0.01 m cell is a slope of 1e309, which no float holds
+        plane = Grid(np.tile(1.7e308 - 1e307 * np.arange(5.0), (5, 1)), 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid values must be finite"):
+                evaluate(plane, np.zeros(25), HP, CostParams(cell_area=1e-4))
+
     def test_length_mismatch_propagates(self, east_plane):
         with pytest.raises(ValueError, match="plan length"):
             evaluate(east_plane, np.zeros(4), HP, CP)
