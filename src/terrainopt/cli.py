@@ -45,7 +45,7 @@ from .hydrology import (
     runoff_velocity,
     slope,
 )
-from .objectives import CostParams, ObjectiveVector, apply_plan, plan_to_grid
+from .objectives import CostParams, ObjectiveVector, apply_plan, grid_to_plan, plan_to_grid
 from .raster import (
     Grid,
     GridFormatError,
@@ -304,12 +304,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    filled = fill_depressions(dem, hp.fill_epsilon)
-    ff = flow_directions(filled)
-    acc = flow_accumulation(ff)
-    mask, path_cells = extract_flow_path(acc, hp.accumulation_threshold_fraction)
-    slope_grid = slope(filled)
-    velocity = runoff_velocity(slope_grid, acc, hp, cfg.cost.cell_area)
+    try:
+        filled = fill_depressions(dem, hp.fill_epsilon)
+        ff = flow_directions(filled)
+        acc = flow_accumulation(ff)
+        mask, path_cells = extract_flow_path(acc, hp.accumulation_threshold_fraction)
+        slope_grid = slope(filled)
+        velocity = runoff_velocity(slope_grid, acc, hp, cfg.cost.cell_area)
+    except ValueError as exc:  # the DEM is analyze's only input
+        raise InputError(f"{cfg.dem_path}: {exc}") from exc
 
     save_ascii_grid(out_dir / "filled.asc", filled)
     save_ascii_grid(out_dir / "flow_directions.asc", dem.with_values(ff.codes))
@@ -470,28 +473,21 @@ def _load_archive(
             if not raster_path.exists():
                 raise InputError(f"missing run artifact: {raster_path}")
             try:
-                delta_grid = load_ascii_grid(raster_path)
-            except GridFormatError as exc:
+                plan = grid_to_plan(base, load_ascii_grid(raster_path))
+            except ValueError as exc:  # malformed, or not at the DEM's layout
                 raise InputError(f"corrupt run artifact: {raster_path}: {exc}") from exc
-            if delta_grid.shape != base.shape:
-                raise InputError(f"{raster_path}: shape does not match the DEM")
-            # the DEM's mask, not the sentinel: a zero delta may equal the sentinel
-            plan = delta_grid.values[base.valid_mask].copy()
             if plan_checksum(plan) != checksum:
                 raise InputError(f"corrupt run artifact: {raster_path} fails its checksum")
             members.append(Individual(plan=plan, objectives=objectives))
     if not members:
         raise InputError(f"{pareto}: no archive members")
+    n_var = len(members[0].plan)
     archive = ParetoArchive(
         members=members,
         config=cfg.optimizer,
         history=[],
-        n_var=len(members[0].plan),
-        mutation_probability=(
-            cfg.optimizer.mutation_probability
-            if cfg.optimizer.mutation_probability is not None
-            else 1.0 / len(members[0].plan)
-        ),
+        n_var=n_var,
+        mutation_probability=cfg.optimizer.mutation_rate(n_var),
     )
     return archive, cfg, base
 

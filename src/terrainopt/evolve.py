@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,10 +52,10 @@ class OptimizerConfig:
     """NSGA-II settings.
 
     ``mutation_probability`` of None resolves to 1/n_variables at run
-    time. ``snapshot_generations`` lists the generations at which callers
-    typically persist intermediate fronts (see the CLI); the loop itself
-    reports every generation through the history and the optional
-    callback.
+    time; :meth:`mutation_rate` applies that rule. ``snapshot_generations``
+    lists the generations at which callers typically persist intermediate
+    fronts (see the CLI); the loop itself reports every generation through
+    the history and the optional callback.
     """
 
     population_size: int = 200
@@ -87,6 +87,10 @@ class OptimizerConfig:
         if not self.lower_bound < self.upper_bound:
             raise ValueError("lower_bound must be < upper_bound")
 
+    def mutation_rate(self, n_var: int) -> float:
+        """Per-variable mutation probability for plans of ``n_var`` variables."""
+        return self.mutation_probability if self.mutation_probability is not None else 1.0 / n_var
+
 
 @dataclass(eq=False)
 class Individual:
@@ -112,6 +116,9 @@ class GenerationStats:
     cost_min: float
     cost_max: float
     wall_ms: float
+
+
+_HISTORY_COLUMNS = [f.name for f in fields(GenerationStats) if f.name != "wall_ms"]
 
 
 @dataclass(eq=False)
@@ -252,13 +259,12 @@ def polynomial_mutation(
 ) -> np.ndarray:
     """Bounded polynomial mutation with distribution index ``mutation_eta``.
 
-    Each variable mutates with probability ``mutation_probability``
-    (1/n_variables when unset); perturbations respect the bounds.
+    Each variable mutates with probability ``cfg.mutation_rate(n)``;
+    perturbations respect the bounds.
     """
     plan = np.asarray(plan, dtype=np.float64)
     n = plan.shape[0]
-    pm = cfg.mutation_probability if cfg.mutation_probability is not None else 1.0 / n
-    mutate = rng.random(n) < pm
+    mutate = rng.random(n) < cfg.mutation_rate(n)
     u = rng.random(n)
     lb, ub = cfg.lower_bound, cfg.upper_bound
     span = ub - lb
@@ -370,20 +376,22 @@ def run_nsga2(
 ) -> ParetoArchive:
     """Optimize modification plans for ``base`` and return the final front.
 
-    The initial population is uniform random within the bounds; when
-    ``seed_with_zero_plan`` is set, the first member is the all-zero plan
-    so the unmodified terrain is always representable. Each generation
-    produces ``offspring_size`` children by tournament + SBX + mutation,
-    evaluates them, and selects the next population from parents plus
-    children. ``on_generation`` (if given) is called after every
-    generation, and once for the initial population as generation 0, with
-    the current rank-0 front and its stats.
+    Generation 0 draws the initial population uniformly within the
+    bounds; when ``seed_with_zero_plan`` is set, its first member is the
+    all-zero plan so the unmodified terrain is always representable.
+    Every later generation produces ``offspring_size`` children by
+    tournament + SBX + mutation. Each generation then scores its new
+    plans, selects the next population from the survivors plus the new
+    plans, and calls ``on_generation`` (if given) with the rank-0 front
+    and its stats.
 
-    Each batch (the initial population, then each generation's children)
-    is scored on ``min(usable CPUs, batch size)`` processes: this one plus
-    workers that receive the problem once, when they start. Results do
-    not depend on the count; with one usable CPU no process is started.
+    Each batch of new plans is scored on ``min(usable CPUs, batch size)``
+    processes: this one plus workers that receive the problem once, when
+    they start. Results do not depend on the count; with one usable CPU
+    no process is started.
     """
+    n_var = plan_length(base)
+    streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.generations + 1)
     largest = max(cfg.population_size, cfg.offspring_size if cfg.generations else 0)
     processes = min(_usable_cpus(), largest)
     pool = None
@@ -391,73 +399,41 @@ def run_nsga2(
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(processes - 1, initializer=_init_worker, initargs=(base, hp, cp))
+    population: list[Individual] = []
+    history: list[GenerationStats] = []
     try:
-        archive = _evolve(
-            base, cfg, lambda plans: _score(plans, base, hp, cp, pool, processes), on_generation
-        )
+        for generation in range(cfg.generations + 1):
+            t0 = time.perf_counter()
+            rng = np.random.default_rng(streams[generation])
+            if generation == 0:
+                plans = rng.uniform(
+                    cfg.lower_bound, cfg.upper_bound, size=(cfg.population_size, n_var)
+                )
+                if cfg.seed_with_zero_plan:
+                    plans[0] = 0.0
+            else:
+                plans = []
+                while len(plans) < cfg.offspring_size:
+                    pa = tournament_select(population, rng)
+                    pb = tournament_select(population, rng)
+                    c1, c2 = sbx_crossover(pa.plan, pb.plan, cfg, rng)
+                    plans.append(polynomial_mutation(c1, cfg, rng))
+                    if len(plans) < cfg.offspring_size:
+                        plans.append(polynomial_mutation(c2, cfg, rng))
+            scored = zip(plans, _score(plans, base, hp, cp, pool, processes))
+            newborn = [Individual(plan, objectives, born=generation) for plan, objectives in scored]
+            population = _select_survivors(population + newborn, cfg.population_size)
+            front = [m for m in population if m.rank == 0]
+            stats = _front_stats(generation, front, (time.perf_counter() - t0) * 1000.0)
+            history.append(stats)
+            if on_generation is not None:
+                on_generation(generation, front, stats)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    archive.processes = processes
+    archive = ParetoArchive(front, cfg, history, n_var, cfg.mutation_rate(n_var), processes)
     _verify_archive(archive)
     return archive
-
-
-def _evolve(
-    base: Grid,
-    cfg: OptimizerConfig,
-    score: Callable[[Sequence[np.ndarray]], list[ObjectiveVector]],
-    on_generation: Optional[OnGeneration],
-) -> ParetoArchive:
-    """The NSGA-II loop of :func:`run_nsga2`, scoring each batch of plans with ``score``."""
-    n_var = plan_length(base)
-    pm = cfg.mutation_probability if cfg.mutation_probability is not None else 1.0 / n_var
-    streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.generations + 1)
-
-    t0 = time.perf_counter()
-    rng_init = np.random.default_rng(streams[0])
-    plans = rng_init.uniform(cfg.lower_bound, cfg.upper_bound, size=(cfg.population_size, n_var))
-    if cfg.seed_with_zero_plan:
-        plans[0] = 0.0
-    population = [
-        Individual(plan=plan.copy(), objectives=objectives, born=0)
-        for plan, objectives in zip(plans, score(plans))
-    ]
-    population = _select_survivors(population, cfg.population_size)
-    front = [m for m in population if m.rank == 0]
-    history = [_front_stats(0, front, (time.perf_counter() - t0) * 1000.0)]
-    if on_generation is not None:
-        on_generation(0, front, history[0])
-
-    for generation in range(1, cfg.generations + 1):
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(streams[generation])
-        child_plans: list[np.ndarray] = []
-        while len(child_plans) < cfg.offspring_size:
-            pa = tournament_select(population, rng)
-            pb = tournament_select(population, rng)
-            c1, c2 = sbx_crossover(pa.plan, pb.plan, cfg, rng)
-            child_plans.append(polynomial_mutation(c1, cfg, rng))
-            if len(child_plans) < cfg.offspring_size:
-                child_plans.append(polynomial_mutation(c2, cfg, rng))
-        offspring = [
-            Individual(plan=plan, objectives=objectives, born=generation)
-            for plan, objectives in zip(child_plans, score(child_plans))
-        ]
-        population = _select_survivors(population + offspring, cfg.population_size)
-        front = [m for m in population if m.rank == 0]
-        stats = _front_stats(generation, front, (time.perf_counter() - t0) * 1000.0)
-        history.append(stats)
-        if on_generation is not None:
-            on_generation(generation, front, stats)
-
-    return ParetoArchive(
-        members=list(front),
-        config=cfg,
-        history=history,
-        n_var=n_var,
-        mutation_probability=pm,
-    )
 
 
 def _verify_archive(archive: ParetoArchive) -> None:
@@ -473,27 +449,6 @@ def history_csv(history: Sequence[GenerationStats]) -> str:
 
     Wall time is left out so that seeded runs serialize byte-identically.
     """
-    header = [
-        "generation",
-        "front_size",
-        "path_cells_min",
-        "path_cells_max",
-        "v_max_min",
-        "v_max_max",
-        "cost_min",
-        "cost_max",
-    ]
-    lines = [",".join(header)]
-    for h in history:
-        row = [
-            str(h.generation),
-            str(h.front_size),
-            str(h.path_cells_min),
-            str(h.path_cells_max),
-            _format_value(h.v_max_min),
-            _format_value(h.v_max_max),
-            _format_value(h.cost_min),
-            _format_value(h.cost_max),
-        ]
-        lines.append(",".join(row))
+    lines = [",".join(_HISTORY_COLUMNS)]
+    lines += [",".join(_format_value(getattr(h, c)) for c in _HISTORY_COLUMNS) for h in history]
     return "\n".join(lines) + "\n"

@@ -133,6 +133,16 @@ class TestAnalyze:
             assert main(["analyze", "--dem", str(dem_path), "--out", str(out)]) == 0
         assert np.all(load_ascii_grid(out / "slope.asc").values == 0.0)
 
+    def test_unroutable_dem_is_input_error(self, tmp_path, capsys):
+        # 1e307 m of drop per 0.01 m cell is a slope past the float range
+        dem_path = tmp_path / "steep.asc"
+        save_ascii_grid(dem_path, Grid(np.tile(1.7e308 - 1e307 * np.arange(5.0), (5, 1)), 0.01))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--dem", str(dem_path), "--out", str(tmp_path / "a")])
+        assert code == 3
+        assert f"{dem_path}: grid values must be finite" in capsys.readouterr().err
+
     def test_all_nodata_dem_is_input_error(self, tmp_path, capsys):
         dem_path = tmp_path / "bad.asc"
         save_ascii_grid(dem_path, Grid(np.array([[1.0]]), 10.0, nodata_sentinel=1.0))
@@ -434,7 +444,19 @@ class TestPick:
         _, run_dir = small_run
         save_ascii_grid(run_dir / "genomes" / "member_0000.asc", Grid(np.zeros((2, 2)), 10.0))
         assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
-        assert "shape does not match" in capsys.readouterr().err
+        assert "member_0000.asc: delta raster is not congruent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"cell_size": 5.0}, {"x_ll": 100.0}, {"y_ll": 100.0}],
+        ids=["cell-size", "x-origin", "y-origin"],
+    )
+    def test_genome_at_another_cell_size_or_origin_detected(self, small_run, capsys, change):
+        _, run_dir = small_run
+        target = run_dir / "genomes" / "member_0000.asc"
+        save_ascii_grid(target, dataclasses.replace(load_ascii_grid(target), **change))
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
+        assert "member_0000.asc: delta raster is not congruent" in capsys.readouterr().err
 
     def test_malformed_genome_is_input_error(self, small_run, capsys):
         _, run_dir = small_run

@@ -1,4 +1,5 @@
 """NSGA-II operators and the seeded main loop."""
+import hashlib
 import multiprocessing
 
 import numpy as np
@@ -21,7 +22,8 @@ from terrainopt import (
     tournament_select,
 )
 import terrainopt.evolve as evolve
-from terrainopt.evolve import ParetoArchive, _verify_archive
+from terrainopt.cli import plan_checksum
+from terrainopt.evolve import ParetoArchive, _verify_archive, history_csv
 
 from oracles import brute_fronts
 
@@ -327,6 +329,43 @@ class TestRunLoop:
         archive = run_nsga2(self.BASE, HP, CP, self.CFG)
         assert archive.n_var == 36
         assert archive.mutation_probability == pytest.approx(1.0 / 36.0)
+
+    @pytest.mark.parametrize(
+        "overrides, history_digest, checksums",
+        [
+            pytest.param({"generations": 0}, "108cae69207f565f", ["2d5565fb483d8ea4"],
+                         id="no-generations"),
+            pytest.param(
+                {"seed_with_zero_plan": False},
+                "12e1bf5e3b950208",
+                ["ff3e4e0bc6a1914c", "1433d3799f9e0e77", "d7b393c60a5aed87", "f08b8cb764164013",
+                 "210374f9521e8dee", "3d05124054cbb5b6", "e32c0ef97861571c"],
+                id="random-first-plan",
+            ),
+            pytest.param(
+                {"offspring_size": 5},  # odd: the last pair's second child is never drawn
+                "174919baf04e0ffe",
+                ["2d5565fb483d8ea4", "9d93d210be67aa73", "cd5223dd0dd110c1"],
+                id="odd-offspring",
+            ),
+            pytest.param(
+                {"mutation_probability": 0.25},
+                "02dbe89593a6dea3",
+                ["2d5565fb483d8ea4", "c84990980acb31e8", "e5e0f4b897f53e66"],
+                id="explicit-mutation-rate",
+            ),
+        ],
+    )
+    def test_seeded_outputs_of_edge_configurations(self, overrides, history_digest, checksums):
+        # recorded digests of configurations the benchmark's seed-0 runs do not reach
+        cfg = OptimizerConfig(
+            **{"population_size": 10, "offspring_size": 6, "generations": 5, "rng_seed": 11,
+               "snapshot_generations": (), **overrides}
+        )
+        archive = run_nsga2(self.BASE, HP, CP, cfg)
+        text = history_csv(archive.history)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == history_digest, text
+        assert [plan_checksum(m.plan) for m in archive.members] == checksums
 
 
 class TestParallelScoring:

@@ -69,6 +69,25 @@ def dems(draw, max_side=8):
     return Grid(np.where(valid, values, -9999.0), 10.0)
 
 
+@st.composite
+def walled_plateaus(draw, max_side=8):
+    """A walled plateau at one exact level with pits, drained through one bottom-row outlet.
+
+    Draining spreads up from the outlet, against the row-major index order,
+    so it reaches plateau cells only after the fill's presorted stream has
+    passed them: with no epsilon, these exact ties must wait on the heap.
+    """
+    shape = (draw(st.integers(3, max_side)), draw(st.integers(3, max_side)))
+    plateau, pit, wall = 1.0, 0.0, 9.0
+    values = draw(
+        hnp.arrays(np.float64, shape, elements=st.sampled_from([plateau] * 3 + [pit, wall]))
+    )
+    values[[0, -1], :] = wall
+    values[:, [0, -1]] = wall
+    values[-1, draw(st.integers(0, shape[1] - 1))] = plateau
+    return Grid(values, 10.0)
+
+
 class TestFillDepressions:
     def test_monotone_plane_unchanged(self, east_plane):
         assert fill_depressions(east_plane, 1e-5) == east_plane
@@ -171,7 +190,7 @@ class TestFillDepressions:
             )
 
     @given(
-        g=dems(),
+        g=dems() | walled_plateaus(),
         epsilon=st.sampled_from([0.0, 1e-12, 1e-5, 0.3]),
         offset=st.sampled_from([0.0, 1e12]),
     )

@@ -1,9 +1,12 @@
 """Plan application, earthwork cost and full three-objective evaluation."""
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from terrainopt import (
@@ -17,7 +20,9 @@ from terrainopt import (
     grid_to_plan,
     plan_length,
     plan_to_grid,
+    save_ascii_grid,
 )
+from terrainopt.cli import main
 
 HP = HydroParams()
 CP = CostParams()
@@ -44,6 +49,48 @@ def masked_dems_and_plans(draw):
         )
     )
     return values, valid, plan
+
+
+@st.composite
+def float_range_problems(draw):
+    """A finite grid whose values and cell size span the float range, and HydroParams.
+
+    Values lie within +-scale, half of them on 19 exact levels (flats and
+    ties). The scale, from 1e-320 to 1.7e308, and the cell size, from 0.01
+    to 1e300, are each one of their bounds half the time and log-uniform
+    otherwise, so steep grids past the float range are common. 0-30% of
+    the cells are nodata.
+    """
+
+    def log_uniform(lo, hi):
+        if draw(st.booleans()):
+            return draw(st.sampled_from([lo, hi]))
+        exponent = draw(st.integers(math.floor(math.log10(lo)), math.floor(math.log10(hi))))
+        return min(max(draw(st.floats(1.0, 10.0)) * 10.0 ** exponent, lo), hi)
+
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    scale = log_uniform(1e-320, 1.7e308)
+    values = draw(
+        hnp.arrays(
+            np.float64,
+            shape,
+            elements=st.integers(-9, 9).map(lambda k: scale * (k / 9)) | st.floats(-scale, scale),
+        )
+    )
+    order = draw(st.permutations(range(values.size)))
+    valid = np.ones(values.size, dtype=bool)
+    valid[order[: draw(st.integers(0, values.size * 3 // 10))]] = False
+    valid = valid.reshape(shape)
+    grid = Grid(
+        np.where(valid, values, -9999.0),
+        log_uniform(0.01, 1e300),
+        nodata_sentinel=-9999.0,
+        valid_mask=valid,
+    )
+    hp = HydroParams(
+        fill_epsilon=draw(st.sampled_from([0.0, 1e-5])), slope_as_percent=draw(st.booleans())
+    )
+    return grid, hp
 
 
 @pytest.fixture
@@ -231,3 +278,44 @@ class TestEvaluate:
         plans = [np.zeros(n), rng.uniform(-2, 2, n), -masked_base.values[masked_base.valid_mask]]
         for plan in plans:
             assert evaluate(zero, plan, HP, CP) == evaluate(masked_base, plan, HP, CP)
+
+
+class TestAnyFiniteGrid:
+    """A finite grid evaluates, or fails with the one documented error, never a warning."""
+
+    @staticmethod
+    def outcome(grid, hp):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                evaluate(grid, np.zeros(grid.n_valid), hp, CP)
+            except ValueError as exc:
+                assert str(exc) == "grid values must be finite"
+                return "unroutable"
+        return "ok"
+
+    @given(problem=float_range_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_returns_or_raises_only_the_documented_error(self, problem):
+        event(self.outcome(*problem))
+
+    @given(problem=float_range_problems())
+    @settings(max_examples=20, deadline=None)
+    def test_analyze_exits_0_or_3_as_evaluate_returns_or_raises(self, problem):
+        grid, hp = problem
+        expected = {"ok": 0, "unroutable": 3}[self.outcome(grid, hp)]
+        with tempfile.TemporaryDirectory() as tmp:
+            dem_path = Path(tmp) / "dem.asc"
+            save_ascii_grid(dem_path, grid)
+            config = Path(tmp) / "run.cfg"
+            config.write_text(
+                f"fill_epsilon = {hp.fill_epsilon!r}\n"
+                f"slope_as_percent = {str(hp.slope_as_percent).lower()}\n"
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(
+                    ["analyze", "--config", str(config), "--dem", str(dem_path),
+                     "--out", str(Path(tmp) / "out")]
+                )
+        assert code == expected
