@@ -12,7 +12,10 @@ bit-reproducible regardless of how offspring evaluation is scheduled.
 
 Selection and variation run in the calling process; only the scoring of
 each batch of plans fans out, over every CPU the process may run on (see
-:func:`run_nsga2`), and the scores are joined back in plan order.
+:func:`run_nsga2`). Worker processes score the first chunks of a batch,
+each sent down a pipe as soon as its plans are drawn; the calling process
+draws and scores the last chunk meanwhile, and joins the scores back in
+plan order. No helper thread runs.
 
 Objective vectors are handled in the all-minimize sense (see
 :meth:`~terrainopt.objectives.ObjectiveVector.as_min_array`); history
@@ -22,8 +25,10 @@ from __future__ import annotations
 
 import os
 import time
+import traceback
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -157,8 +162,12 @@ def _dominance(objs: np.ndarray) -> np.ndarray:
 
     The diagonal is False, since no row is strictly better than itself.
     """
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
+    n = objs.shape[0]
+    le = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for col in objs.T:
+        le &= col[:, None] <= col[None, :]
+        lt |= col[:, None] < col[None, :]
     return le & lt
 
 
@@ -260,16 +269,18 @@ def polynomial_mutation(
     """Bounded polynomial mutation with distribution index ``mutation_eta``.
 
     Each variable mutates with probability ``cfg.mutation_rate(n)``;
-    perturbations respect the bounds.
+    perturbations respect the bounds. Only the variables drawn to mutate
+    are perturbed, so a call costs little at the usual rate of 1/n.
     """
     plan = np.asarray(plan, dtype=np.float64)
     n = plan.shape[0]
-    mutate = rng.random(n) < cfg.mutation_rate(n)
-    u = rng.random(n)
+    mutate = np.flatnonzero(rng.random(n) < cfg.mutation_rate(n))
+    u = rng.random(n)[mutate]
+    x = plan[mutate]
     lb, ub = cfg.lower_bound, cfg.upper_bound
     span = ub - lb
-    d1 = (plan - lb) / span
-    d2 = (ub - plan) / span
+    d1 = (x - lb) / span
+    d2 = (ub - x) / span
     power = 1.0 / (cfg.mutation_eta + 1.0)
     u_low = np.minimum(u, 0.5)
     u_high = np.maximum(u, 0.5)
@@ -277,8 +288,9 @@ def polynomial_mutation(
     delta_high = 1.0 - (
         2.0 * (1.0 - u_high) + 2.0 * (u_high - 0.5) * (1.0 - d2) ** (cfg.mutation_eta + 1.0)
     ) ** power
-    delta = np.where(u <= 0.5, delta_low, delta_high)
-    out = plan + np.where(mutate, delta * span, 0.0)
+    # + 0.0 rather than a copy: an unmutated -0.0 becomes +0.0, as in x + delta
+    out = plan + 0.0
+    out[mutate] = x + np.where(u <= 0.5, delta_low, delta_high) * span
     np.clip(out, lb, ub, out=out)
     return out
 
@@ -336,35 +348,117 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# a worker's copy of the problem, set once by _init_worker
-_problem: Optional[tuple[Grid, HydroParams, CostParams]] = None
+class _RemoteTraceback(Exception):
+    """A scoring worker's formatted traceback, set as the cause of the error it raised."""
+
+    def __str__(self):
+        return self.args[0]
 
 
-def _init_worker(base: Grid, hp: HydroParams, cp: CostParams) -> None:
-    global _problem
-    _problem = (base, hp, cp)
+def _serve(conn, base: Grid, hp: HydroParams, cp: CostParams) -> None:
+    """Body of a scoring worker: answer each chunk of plans that arrives on ``conn``.
 
-
-def _evaluate_chunk(plans: Sequence[np.ndarray]) -> list[ObjectiveVector]:
-    base, hp, cp = _problem
-    return [evaluate(base, plan, hp, cp) for plan in plans]
-
-
-def _score(plans, base, hp, cp, pool, processes: int) -> list[ObjectiveVector]:
-    """Objectives of ``plans`` in plan order, over ``min(processes, len(plans))`` processes.
-
-    The plans are cut into that many contiguous chunks; ``pool`` scores
-    every chunk but the first, which this process scores meanwhile. A
-    failing chunk re-raises its first exception here, chunks in order,
-    so the exception is the one a serial loop would raise.
+    The answer is the chunk's objectives in plan order, or its first error
+    with the formatted traceback. Returns when the other end is closed.
     """
-    n = min(processes, len(plans))
-    cuts = [len(plans) * k // n for k in range(n + 1)]
-    futures = [pool.submit(_evaluate_chunk, plans[a:b]) for a, b in zip(cuts[1:-1], cuts[2:])]
-    scores = [evaluate(base, plan, hp, cp) for plan in plans[: cuts[1]]]
-    for future in futures:
-        scores.extend(future.result())
-    return scores
+    while True:
+        try:
+            plans = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = [evaluate(base, plan, hp, cp) for plan in plans]
+        except Exception as exc:
+            reply = (exc, traceback.format_exc())
+        conn.send(reply)
+
+
+class _Worker:
+    """A scoring process holding one copy of the problem, and this end of its pipe."""
+
+    def __init__(self, base: Grid, hp: HydroParams, cp: CostParams):
+        import multiprocessing
+
+        self.conn, theirs = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_serve, args=(theirs, base, hp, cp), daemon=True
+        )
+        self.process.start()
+        # only the worker may hold its end, so that its exit reads as EOF here
+        theirs.close()
+
+    def _lost(self) -> RuntimeError:
+        self.process.join()
+        return RuntimeError(f"scoring worker exited with code {self.process.exitcode}")
+
+    def send(self, plans: list[np.ndarray]) -> None:
+        try:
+            self.conn.send(plans)
+        except ConnectionError:
+            raise self._lost() from None
+
+    def receive(self):
+        """The objectives of the chunk last sent, or its error with the remote cause."""
+        try:
+            reply = self.conn.recv()
+        except (EOFError, ConnectionError):
+            raise self._lost() from None
+        if isinstance(reply, tuple):
+            error, text = reply
+            error.__cause__ = _RemoteTraceback(f'\n"""\n{text}"""')
+            return error
+        return reply
+
+    def stop(self) -> None:
+        # a worker holds nothing but the problem, and may be mid-chunk after an error
+        self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+def _score(
+    plans: Iterable[np.ndarray], size: int, base, hp, cp, workers: list[_Worker]
+) -> tuple[list[np.ndarray], list[ObjectiveVector]]:
+    """Draw ``size`` plans and score them over ``min(len(workers) + 1, size)`` processes.
+
+    The batch is cut into that many contiguous chunks. Chunk k is sent to
+    ``workers[k]`` as soon as its plans are drawn; this process then draws
+    and scores the last chunk while the workers score theirs. Once every
+    reply is read, the first failing chunk's error is raised, so it is the
+    one a serial loop would raise. Returns the plans and their objectives,
+    both in plan order.
+    """
+    busy = workers[: size - 1]
+    cuts = [size * k // (len(busy) + 1) for k in range(len(busy) + 2)]
+    plans = iter(plans)
+    drawn: list[np.ndarray] = []
+    for worker, a, b in zip(busy, cuts, cuts[1:]):
+        chunk = list(islice(plans, b - a))
+        worker.send(chunk)
+        drawn += chunk
+    mine = list(islice(plans, size - cuts[-2]))
+    drawn += mine
+    try:
+        own = [evaluate(base, plan, hp, cp) for plan in mine]
+    except Exception as exc:
+        own = exc
+    replies = [worker.receive() for worker in busy] + [own]
+    for reply in replies:
+        if isinstance(reply, Exception):
+            raise reply
+    return drawn, [scores for reply in replies for scores in reply]
+
+
+def _children(
+    population: list[Individual], cfg: OptimizerConfig, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Offspring by tournament, SBX and mutation, drawn from ``rng`` only when taken."""
+    while True:
+        pa = tournament_select(population, rng)
+        pb = tournament_select(population, rng)
+        c1, c2 = sbx_crossover(pa.plan, pb.plan, cfg, rng)
+        yield polynomial_mutation(c1, cfg, rng)
+        yield polynomial_mutation(c2, cfg, rng)
 
 
 def run_nsga2(
@@ -387,41 +481,35 @@ def run_nsga2(
 
     Each batch of new plans is scored on ``min(usable CPUs, batch size)``
     processes: this one plus workers that receive the problem once, when
-    they start. Results do not depend on the count; with one usable CPU
-    no process is started.
+    they start. The batch is drawn lazily and cut into contiguous chunks;
+    the workers score the first chunks, each sent to its worker as soon as
+    its plans are drawn, and this process draws and scores the last one
+    meanwhile. No helper thread runs. Results do not depend on the count;
+    with one usable CPU no process is started.
     """
     n_var = plan_length(base)
     streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.generations + 1)
     largest = max(cfg.population_size, cfg.offspring_size if cfg.generations else 0)
     processes = min(_usable_cpus(), largest)
-    pool = None
-    if processes > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(processes - 1, initializer=_init_worker, initargs=(base, hp, cp))
+    workers: list[_Worker] = []
     population: list[Individual] = []
     history: list[GenerationStats] = []
     try:
+        while len(workers) < processes - 1:
+            workers.append(_Worker(base, hp, cp))
         for generation in range(cfg.generations + 1):
             t0 = time.perf_counter()
             rng = np.random.default_rng(streams[generation])
             if generation == 0:
-                plans = rng.uniform(
-                    cfg.lower_bound, cfg.upper_bound, size=(cfg.population_size, n_var)
-                )
+                size = cfg.population_size
+                plans = rng.uniform(cfg.lower_bound, cfg.upper_bound, size=(size, n_var))
                 if cfg.seed_with_zero_plan:
                     plans[0] = 0.0
             else:
-                plans = []
-                while len(plans) < cfg.offspring_size:
-                    pa = tournament_select(population, rng)
-                    pb = tournament_select(population, rng)
-                    c1, c2 = sbx_crossover(pa.plan, pb.plan, cfg, rng)
-                    plans.append(polynomial_mutation(c1, cfg, rng))
-                    if len(plans) < cfg.offspring_size:
-                        plans.append(polynomial_mutation(c2, cfg, rng))
-            scored = zip(plans, _score(plans, base, hp, cp, pool, processes))
-            newborn = [Individual(plan, objectives, born=generation) for plan, objectives in scored]
+                size = cfg.offspring_size
+                plans = _children(population, cfg, rng)
+            plans, scores = _score(plans, size, base, hp, cp, workers)
+            newborn = [Individual(p, s, born=generation) for p, s in zip(plans, scores)]
             population = _select_survivors(population + newborn, cfg.population_size)
             front = [m for m in population if m.rank == 0]
             stats = _front_stats(generation, front, (time.perf_counter() - t0) * 1000.0)
@@ -429,8 +517,8 @@ def run_nsga2(
             if on_generation is not None:
                 on_generation(generation, front, stats)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for worker in workers:
+            worker.stop()
     archive = ParetoArchive(front, cfg, history, n_var, cfg.mutation_rate(n_var), processes)
     _verify_archive(archive)
     return archive

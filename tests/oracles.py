@@ -216,6 +216,33 @@ def scalar_dominates(a, b) -> bool:
     return not_worse and strictly_better
 
 
+def full_polynomial_mutation(plan, cfg, rng) -> np.ndarray:
+    """Bounded polynomial mutation with the perturbation formula over every variable.
+
+    The variables that do not mutate take ``plan + 0.0``; the draws are
+    ``rng.random(n)`` twice, as in the library.
+    """
+    plan = np.asarray(plan, dtype=np.float64)
+    n = plan.shape[0]
+    mutate = rng.random(n) < cfg.mutation_rate(n)
+    u = rng.random(n)
+    lb, ub = cfg.lower_bound, cfg.upper_bound
+    span = ub - lb
+    d1 = (plan - lb) / span
+    d2 = (ub - plan) / span
+    power = 1.0 / (cfg.mutation_eta + 1.0)
+    u_low = np.minimum(u, 0.5)
+    u_high = np.maximum(u, 0.5)
+    delta_low = (2.0 * u_low + (1.0 - 2.0 * u_low) * (1.0 - d1) ** (cfg.mutation_eta + 1.0)) ** power - 1.0
+    delta_high = 1.0 - (
+        2.0 * (1.0 - u_high) + 2.0 * (u_high - 0.5) * (1.0 - d2) ** (cfg.mutation_eta + 1.0)
+    ) ** power
+    delta = np.where(u <= 0.5, delta_low, delta_high)
+    out = plan + np.where(mutate, delta * span, 0.0)
+    np.clip(out, lb, ub, out=out)
+    return out
+
+
 def brute_fronts(objs: np.ndarray) -> list[list[int]]:
     """Repeated pairwise peeling into non-dominated fronts."""
     remaining = list(range(len(objs)))

@@ -281,8 +281,8 @@ class TestOptimize:
             assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
 
     def test_worker_failure_exits_4_with_partial_manifest(self, tmp_path, monkeypatch, capsys):
-        # the zero plan is scored here; the other plan, scored by the worker,
-        # overflows to inf in apply_plan
+        # without the zero plan both plans overflow to inf in apply_plan; the
+        # worker scores chunk 0, so its error is the one reported
         monkeypatch.setattr(evolve, "_usable_cpus", lambda: 2)
         dem_path = tmp_path / "dem.asc"
         save_ascii_grid(dem_path, Grid(np.full((5, 5), 4e307), 10.0))
@@ -290,7 +290,7 @@ class TestOptimize:
         cfg.write_text(
             f"dem_path = {dem_path}\noutput_dir = {tmp_path / 'run'}\n"
             "population = 2\noffspring = 2\ngenerations = 1\nseed = 0\n"
-            "lower_bound = 0\nupper_bound = 1.75e308\n"
+            "lower_bound = 0\nupper_bound = 1.75e308\nseed_with_zero_plan = false\n"
         )
         assert main(["optimize", "--config", str(cfg)]) == 4
         assert multiprocessing.active_children() == []

@@ -1,6 +1,10 @@
 """NSGA-II operators and the seeded main loop."""
 import hashlib
 import multiprocessing
+import os
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ import terrainopt.evolve as evolve
 from terrainopt.cli import plan_checksum
 from terrainopt.evolve import ParetoArchive, _verify_archive, history_csv
 
-from oracles import brute_fronts
+from oracles import brute_fronts, full_polynomial_mutation, scalar_dominates
 
 HP = HydroParams()
 CP = CostParams()
@@ -82,6 +86,19 @@ class TestDominates:
     def test_incomparable(self):
         assert not dominates((1, 3, 1), (2, 2, 2))
         assert not dominates((2, 2, 2), (1, 3, 1))
+
+
+class TestDominanceMatrix:
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(113)
+        for trial in range(300):
+            n = int(rng.integers(1, 30))
+            if trial % 2:
+                objs = rng.uniform(0, 1, size=(n, 3))
+            else:  # few values: plenty of ties and duplicate rows
+                objs = rng.integers(0, 3, size=(n, 3)).astype(np.float64)
+            want = [[scalar_dominates(objs[i], objs[j]) for j in range(n)] for i in range(n)]
+            assert evolve._dominance(objs).tolist() == want, f"trial {trial}"
 
 
 class TestNonDominatedSort:
@@ -242,6 +259,26 @@ class TestPolynomialMutation:
         # Binomial(trials * n, 1/n): mean = trials, sigma = sqrt(trials * (1 - 1/n))
         sigma = np.sqrt(trials * (1 - 1 / n))
         assert abs(changed - trials) <= 3 * sigma
+
+    def test_matches_full_array_formula_bytewise(self):
+        rng = np.random.default_rng(112)
+        for trial in range(2000):
+            n = int(rng.integers(1, 400))
+            cfg = OptimizerConfig(
+                mutation_probability=(None, 0.25, 1.0, 0.01)[trial % 4],
+                mutation_eta=(0.0, 5.0, 20.0, 100.0)[trial // 4 % 4],
+            )
+            plan = rng.uniform(-2, 2, n)
+            pinned = rng.random(n)
+            plan[pinned < 0.1] = cfg.lower_bound
+            plan[pinned > 0.9] = cfg.upper_bound
+            plan[(pinned > 0.45) & (pinned < 0.5)] = -0.0
+            seed = int(rng.integers(2**32))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = polynomial_mutation(plan, cfg, ours)
+            want = full_polynomial_mutation(plan, cfg, theirs)
+            assert got.tobytes() == want.tobytes(), f"trial {trial}"
+            assert ours.random() == theirs.random()  # the same draws were taken
 
 
 class TestRunLoop:
@@ -404,17 +441,70 @@ class TestParallelScoring:
         monkeypatch.delattr(evolve.os, "sched_getaffinity")
         assert evolve._usable_cpus() == 5
 
+    # any plan value above ~1.4e308 overflows this DEM to inf in apply_plan
+    OVERFLOW_BASE = Grid(np.full((5, 5), 4e307), 10.0)
+    OVERFLOW_CFG = OptimizerConfig(
+        population_size=2, offspring_size=2, generations=1, rng_seed=0,
+        lower_bound=0.0, upper_bound=1.75e308,
+    )
+
     def test_worker_exception_reaches_caller(self, monkeypatch):
-        # the zero plan (chunk 0, scored here) is fine; the random plan
-        # (chunk 1, scored by the worker) overflows to inf in apply_plan
-        base = Grid(np.full((5, 5), 4e307), 10.0)
-        cfg = OptimizerConfig(
-            population_size=2, offspring_size=2, generations=1, rng_seed=0,
-            lower_bound=0.0, upper_bound=1.75e308,
-        )
+        # without the zero plan both plans overflow; the worker scores chunk 0,
+        # so its error is the one a serial loop would raise
+        cfg = replace(self.OVERFLOW_CFG, seed_with_zero_plan=False)
         with pytest.raises(ValueError, match="grid values must be finite") as excinfo:
-            self.run_on(monkeypatch, 2, base, cfg)
-        assert type(excinfo.value.__cause__).__name__ == "_RemoteTraceback"
+            self.run_on(monkeypatch, 2, self.OVERFLOW_BASE, cfg)
+        cause = excinfo.value.__cause__
+        assert type(cause).__name__ == "_RemoteTraceback"
+        assert "Traceback (most recent call last)" in str(cause)
+        assert "in _serve" in str(cause) and "in apply_plan" in str(cause)
+        assert multiprocessing.active_children() == []
+
+    def test_error_of_this_process_raised_after_every_worker_reply(self, monkeypatch):
+        # the worker scores the zero plan (chunk 0); the random plan, scored
+        # here, overflows
+        replies = []
+        receive = evolve._Worker.receive
+
+        def record(worker):
+            replies.append(receive(worker))
+            return replies[-1]
+
+        monkeypatch.setattr(evolve._Worker, "receive", record)
+        with pytest.raises(ValueError, match="grid values must be finite") as excinfo:
+            self.run_on(monkeypatch, 2, self.OVERFLOW_BASE, self.OVERFLOW_CFG)
+        assert excinfo.value.__cause__ is None
+        assert len(replies) == 1 and replies[0][0].cost == 0.0
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_with_its_exit_code(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched evaluate reaches the worker only through fork")
+        parent = os.getpid()
+        evaluate = evolve.evaluate
+
+        def evaluate_or_die(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return evaluate(*args)
+
+        monkeypatch.setattr(evolve, "evaluate", evaluate_or_die)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="scoring worker exited with code 7"):
+            self.run_on(monkeypatch, 2)
+        assert time.perf_counter() - start < 10
+        assert multiprocessing.active_children() == []
+
+    def test_two_processes_run_no_helper_thread(self, monkeypatch):
+        threads = []
+
+        def record(gen, front, stats):
+            threads.append(threading.active_count())
+
+        monkeypatch.setattr(evolve, "_usable_cpus", lambda: 2)
+        archive = run_nsga2(self.BASE, HP, CP, self.CFG, on_generation=record)
+        assert archive.processes == 2
+        assert threads == [1] * (self.CFG.generations + 1)
         assert multiprocessing.active_children() == []
 
 
