@@ -358,8 +358,9 @@ class _RemoteTraceback(Exception):
 def _serve(conn, base: Grid, hp: HydroParams, cp: CostParams) -> None:
     """Body of a scoring worker: answer each chunk of plans that arrives on ``conn``.
 
-    The answer is the chunk's objectives in plan order, or its first error
-    with the formatted traceback. Returns when the other end is closed.
+    A chunk is one (k, n_var) array. The answer is the chunk's objectives
+    in plan order, or its first failing plan's error with the formatted
+    traceback. Returns when the other end is closed.
     """
     while True:
         try:
@@ -367,7 +368,7 @@ def _serve(conn, base: Grid, hp: HydroParams, cp: CostParams) -> None:
         except EOFError:
             return
         try:
-            reply = [evaluate(base, plan, hp, cp) for plan in plans]
+            reply = evaluate(base, plans, hp, cp)
         except Exception as exc:
             reply = (exc, traceback.format_exc())
         conn.send(reply)
@@ -391,7 +392,7 @@ class _Worker:
         self.process.join()
         return RuntimeError(f"scoring worker exited with code {self.process.exitcode}")
 
-    def send(self, plans: list[np.ndarray]) -> None:
+    def send(self, plans: np.ndarray) -> None:
         try:
             self.conn.send(plans)
         except ConnectionError:
@@ -421,7 +422,8 @@ def _score(
 ) -> tuple[list[np.ndarray], list[ObjectiveVector]]:
     """Draw ``size`` plans and score them over ``min(len(workers) + 1, size)`` processes.
 
-    The batch is cut into that many contiguous chunks. Chunk k is sent to
+    The batch is cut into that many contiguous chunks, each scored by one
+    ``evaluate`` call on its (k, n_var) stack. Chunk k is sent to
     ``workers[k]`` as soon as its plans are drawn; this process then draws
     and scores the last chunk while the workers score theirs. Once every
     reply is read, the first failing chunk's error is raised, so it is the
@@ -434,12 +436,12 @@ def _score(
     drawn: list[np.ndarray] = []
     for worker, a, b in zip(busy, cuts, cuts[1:]):
         chunk = list(islice(plans, b - a))
-        worker.send(chunk)
+        worker.send(np.array(chunk))
         drawn += chunk
     mine = list(islice(plans, size - cuts[-2]))
     drawn += mine
     try:
-        own = [evaluate(base, plan, hp, cp) for plan in mine]
+        own = evaluate(base, np.array(mine), hp, cp)
     except Exception as exc:
         own = exc
     replies = [worker.receive() for worker in busy] + [own]

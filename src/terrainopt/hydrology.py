@@ -16,6 +16,13 @@ deterministic end to end:
   as a dimensionless rise/run fraction.
 * :func:`runoff_velocity` evaluates the Manning-based steady-state
   velocity ``V = [sqrt(S)/n * (Q/B)^(2/3)]^(3/5)`` per cell.
+
+Each of these is a thin wrapper over a private kernel on plain arrays: a
+(B, h, w) stack of planes sharing one (h, w) valid mask, which the D8,
+path, slope and velocity kernels also take as a single (h, w) plane. So
+:func:`~terrainopt.objectives.evaluate` scores a stack of plans with one
+array program per stage; only the fill and the accumulation loop over the
+planes.
 """
 from __future__ import annotations
 
@@ -111,18 +118,21 @@ class FlowField:
 
 
 def _pad(a: np.ndarray, border) -> np.ndarray:
-    """``a`` inside a one-cell border of value ``border``; keeps row-major order."""
-    h, w = a.shape
-    padded = np.full((h + 2, w + 2), border, dtype=a.dtype)
-    padded[1:-1, 1:-1] = a
+    """``a`` inside a one-cell border of value ``border`` on its last two axes.
+
+    Keeps row-major order within each (h, w) plane.
+    """
+    h, w = a.shape[-2:]
+    padded = np.full(a.shape[:-2] + (h + 2, w + 2), border, dtype=a.dtype)
+    padded[..., 1:-1, 1:-1] = a
     return padded
 
 
 def _neighbors(padded: np.ndarray):
-    """The eight (h, w) neighbor views of a padded array, in NEIGHBOR_OFFSETS order."""
-    h, w = padded.shape[0] - 2, padded.shape[1] - 2
+    """The eight neighbor views of a padded array, in NEIGHBOR_OFFSETS order."""
+    h, w = padded.shape[-2] - 2, padded.shape[-1] - 2
     for dr, dc in NEIGHBOR_OFFSETS:
-        yield padded[1 + dr : h + 1 + dr, 1 + dc : w + 1 + dc]
+        yield padded[..., 1 + dr : h + 1 + dr, 1 + dc : w + 1 + dc]
 
 
 def _edge_and_nodata_adjacent(valid: np.ndarray) -> np.ndarray:
@@ -133,8 +143,10 @@ def _edge_and_nodata_adjacent(valid: np.ndarray) -> np.ndarray:
     return near & valid
 
 
-def _priority_flood(values, valid, seeds, epsilon):
-    """Priority flood popping by (elevation, index); only raised cells use the heap.
+def _priority_flood(z, valid, seeds, epsilon):
+    """Fill each plane of a (B, h, w) stack, popping by (elevation, index).
+
+    Only raised cells go through the heap.
 
     A plain priority flood pushes every cell it reaches onto one heap. Here
     the candidates come from two sources, merged by key:
@@ -160,47 +172,57 @@ def _priority_flood(values, valid, seeds, epsilon):
     The grid is padded with a one-cell border that counts as visited, so a
     neighbor is ``i + offset`` with no bounds check. Padding keeps
     row-major index order, so ties pop in the same order as on the
-    unpadded grid.
+    unpadded grid. Every plane shares ``valid`` and ``seeds``; the sorts
+    run as one call over the stack, and the flood itself plane by plane.
     """
-    h, w = values.shape
+    b, h, w = z.shape
     width = w + 2
-    padded = _pad(values, 0.0).ravel()
+    padded = _pad(z, 0.0).reshape(b, -1)
     cells = np.flatnonzero(_pad(valid, False))
-    order = cells[np.argsort(padded[cells], kind="stable")]
-    keys = list(zip(padded[order].tolist(), order.tolist()))
-    pos = np.zeros(padded.size, dtype=np.int64)
-    pos[order] = np.arange(order.size)
-    pos = pos.tolist()
-    out = padded.tolist()
-    visited = _pad(~valid | seeds, True).ravel().tolist()  # never enter the border or nodata
-    reached = _pad(seeds, False).ravel().tolist()
+    order = cells[np.argsort(padded[:, cells], axis=1, kind="stable")]
+    # each cell's place in its plane's stream
+    stream_pos = np.zeros(padded.shape, dtype=np.int64)
+    np.put_along_axis(stream_pos, order, np.arange(cells.size), axis=1)
+    # each flood starts from these; it never enters the border or nodata
+    visited_at_start = _pad(~valid | seeds, True).ravel().tolist()
+    reached_at_start = _pad(seeds, False).ravel().tolist()
     offsets = [dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]
-    heap = []
     heappop, heappush = heapq.heappop, heapq.heappush
-    a, n = 0, len(keys)
-    while a < n or heap:
-        if heap and (a == n or heap[0] < keys[a]):
-            z_i, i = heappop(heap)
-        else:
-            z_i, i = keys[a]
-            a += 1
-            if not reached[i]:
-                continue
-        floor = z_i + epsilon
-        for offset in offsets:
-            j = i + offset
-            if visited[j]:
-                continue
-            visited[j] = True
-            z_j = out[j]
-            if z_j < floor:
-                out[j] = floor
-                heappush(heap, (floor, j))
-            elif pos[j] < a:
-                heappush(heap, (z_j, j))
+    filled = np.empty(padded.shape)
+    key_z = np.take_along_axis(padded, order, axis=1)
+    for k, row in enumerate(filled):
+        # one plane's lists at a time, so that they take no more memory in a stack
+        keys = list(zip(key_z[k].tolist(), order[k].tolist()))
+        pos = stream_pos[k].tolist()
+        out = padded[k].tolist()
+        visited = visited_at_start.copy()
+        reached = reached_at_start.copy()
+        heap = []
+        a, n = 0, len(keys)
+        while a < n or heap:
+            if heap and (a == n or heap[0] < keys[a]):
+                z_i, i = heappop(heap)
             else:
-                reached[j] = True
-    return np.array(out).reshape(h + 2, width)[1:-1, 1:-1]
+                z_i, i = keys[a]
+                a += 1
+                if not reached[i]:
+                    continue
+            floor = z_i + epsilon
+            for offset in offsets:
+                j = i + offset
+                if visited[j]:
+                    continue
+                visited[j] = True
+                z_j = out[j]
+                if z_j < floor:
+                    out[j] = floor
+                    heappush(heap, (floor, j))
+                elif pos[j] < a:
+                    heappush(heap, (z_j, j))
+                else:
+                    reached[j] = True
+        row[:] = out
+    return filled.reshape(b, h + 2, width)[:, 1:-1, 1:-1]
 
 
 def fill_depressions(dem: Grid, epsilon: float = 1e-5) -> Grid:
@@ -218,20 +240,13 @@ def fill_depressions(dem: Grid, epsilon: float = 1e-5) -> Grid:
     if dem.n_valid == 0:
         raise ValueError("grid has no valid cells")
     seeds = _edge_and_nodata_adjacent(dem.valid_mask)
-    return dem.with_values(_priority_flood(dem.values, dem.valid_mask, seeds, float(epsilon)))
+    filled = _priority_flood(dem.values[None], dem.valid_mask, seeds, float(epsilon))[0]
+    return dem.with_values(filled)
 
 
-def flow_directions(filled_dem: Grid) -> FlowField:
-    """Steepest-descent D8 direction per valid cell.
-
-    Each cell points to the valid neighbor maximizing elevation drop per
-    unit distance, provided the drop is positive; ties are broken by the
-    fixed code order E, SE, S, SW, W, NW, N, NE. Cells with no lower valid
-    neighbor are outlets (code 0), as are nodata cells.
-    """
-    z = filled_dem.values
-    valid = filled_dem.valid_mask
-    diag = filled_dem.cell_size * math.sqrt(2.0)
+def _d8_codes(z: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
+    """D8 codes of filled elevations ``z`` (see :func:`flow_directions`)."""
+    diag = cell_size * math.sqrt(2.0)
     # a missing neighbor holds inf, so its drop is -inf and it never wins; a
     # nodata centre holds -inf, so the sentinel never enters the arithmetic
     padded = _pad(np.where(valid, z, np.inf), np.inf)
@@ -240,9 +255,9 @@ def flow_directions(filled_dem: Grid) -> FlowField:
     with np.errstate(over="ignore"):
         for k, ((dr, dc), nb) in enumerate(zip(NEIGHBOR_OFFSETS, _neighbors(padded))):
             np.subtract(centre, nb, out=grads[k])
-            grads[k] /= diag if dr and dc else filled_dem.cell_size
+            grads[k] /= diag if dr and dc else cell_size
     best = np.argmax(grads, axis=0)
-    best_grad = np.take_along_axis(grads, best[None, :, :], axis=0)[0]
+    best_grad = np.take_along_axis(grads, best[None], axis=0)[0]
     # a drop or gradient past the float range ties at inf with every other one
     # that overflowed; there, compare drops halved first so they cannot
     # overflow, per unit of cell size (a common factor)
@@ -254,7 +269,18 @@ def flow_directions(filled_dem: Grid) -> FlowField:
             for (dr, dc), nb in zip(NEIGHBOR_OFFSETS, _neighbors(padded))
         ]
         best[redo] = np.argmax(halved, axis=0)
-    codes = np.where(valid & (best_grad > 0), D8_CODES[best], OUTLET).astype(np.uint8)
+    return np.where(valid & (best_grad > 0), D8_CODES[best], OUTLET).astype(np.uint8)
+
+
+def flow_directions(filled_dem: Grid) -> FlowField:
+    """Steepest-descent D8 direction per valid cell.
+
+    Each cell points to the valid neighbor maximizing elevation drop per
+    unit distance, provided the drop is positive; ties are broken by the
+    fixed code order E, SE, S, SW, W, NW, N, NE. Cells with no lower valid
+    neighbor are outlets (code 0), as are nodata cells.
+    """
+    codes = _d8_codes(filled_dem.values, filled_dem.valid_mask, filled_dem.cell_size)
     return FlowField(codes, filled_dem)
 
 
@@ -267,36 +293,51 @@ _CODE_DC = np.zeros(256, dtype=np.int64)
 _CODE_DR[D8_CODES], _CODE_DC[D8_CODES] = np.array(NEIGHBOR_OFFSETS).T
 
 
-def _downstream_indices(ff: FlowField) -> np.ndarray:
-    """Flat index of each cell's receiving neighbor, -1 for outlets/nodata."""
-    h, w = ff.codes.shape
-    rows, cols = np.indices((h, w))
-    tr = rows + _CODE_DR[ff.codes]
-    tc = cols + _CODE_DC[ff.codes]
+def _downstream_indices(codes: np.ndarray) -> np.ndarray:
+    """Flat index of each cell's receiving neighbor within its plane, -1 for outlets/nodata.
+
+    Each (h, w) plane of ``codes`` comes back as one row of h * w indices.
+    """
+    h, w = codes.shape[-2:]
+    tr = np.arange(h)[:, None] + _CODE_DR[codes]
+    tc = np.arange(w) + _CODE_DC[codes]
     if (tr < 0).any() or (tr >= h).any() or (tc < 0).any() or (tc >= w).any():
         raise ValueError("direction code points outside the grid")
-    return np.where(ff.codes != OUTLET, tr * w + tc, -1).ravel()
+    return np.where(codes != OUTLET, tr * w + tc, -1).reshape(codes.shape[:-2] + (h * w,))
 
 
-def _accumulate(ds: np.ndarray):
-    """Kahn-style topological accumulation; returns (counts, processed)."""
-    n = ds.shape[0]
-    indeg = np.bincount(ds[ds >= 0], minlength=n)
-    stack = np.flatnonzero(indeg == 0).tolist()
-    indeg = indeg.tolist()
-    down = ds.tolist()
-    acc = [0] * n
-    processed = 0
-    while stack:
-        i = stack.pop()
-        processed += 1
-        d = down[i]
-        if d >= 0:
-            acc[d] += acc[i] + 1
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                stack.append(d)
-    return acc, processed
+def _accumulate(ds: np.ndarray) -> np.ndarray:
+    """Upstream cell counts for each row of a (B, n) array of downstream indices.
+
+    A Kahn-style topological sweep per row, after one in-degree count over
+    all rows. Raises :class:`FlowCycleError` if a row's directions contain
+    a cycle.
+    """
+    b, n = ds.shape
+    flows = ds >= 0
+    indeg = np.bincount((ds + n * np.arange(b)[:, None])[flows], minlength=b * n).reshape(b, n)
+    acc = np.empty((b, n))
+    for k, row in enumerate(acc):
+        down = ds[k].tolist()
+        degree = indeg[k].tolist()
+        stack = np.flatnonzero(indeg[k] == 0).tolist()
+        counts = [0] * n
+        processed = 0
+        while stack:
+            i = stack.pop()
+            processed += 1
+            d = down[i]
+            if d >= 0:
+                counts[d] += counts[i] + 1
+                degree[d] -= 1
+                if degree[d] == 0:
+                    stack.append(d)
+        if processed != n:
+            raise FlowCycleError(
+                f"flow directions contain a cycle ({n - processed} cells unresolved)"
+            )
+        row[:] = counts
+    return acc
 
 
 def flow_accumulation(ff: FlowField) -> Grid:
@@ -306,22 +347,32 @@ def flow_accumulation(ff: FlowField) -> Grid:
     :class:`FlowCycleError` if the directions contain a cycle, which
     signals an unfilled DEM.
     """
-    ds = _downstream_indices(ff)
-    acc, processed = _accumulate(ds)
-    if processed != ds.shape[0]:
-        raise FlowCycleError(
-            f"flow directions contain a cycle ({ds.shape[0] - processed} cells unresolved)"
-        )
-    return ff.grid.with_values(np.array(acc, dtype=np.float64).reshape(ff.grid.shape))
+    acc = _accumulate(_downstream_indices(ff.codes)[None])[0]
+    return ff.grid.with_values(acc.reshape(ff.grid.shape))
 
 
-def accumulation_threshold(acc: Grid, fraction: float) -> float:
-    """Flow-path threshold: ``fraction`` times the maximum accumulation."""
+def _valid_max(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Each plane's maximum over the valid cells."""
+    return a[..., valid].max(axis=-1)
+
+
+def _flow_path(acc: np.ndarray, valid: np.ndarray, fraction: float):
+    """Flow-path mask and threshold of accumulation ``acc`` (see :func:`extract_flow_path`)."""
+    threshold = fraction * _valid_max(acc, valid)
+    return valid & (acc >= threshold[..., None, None]) & (acc > 0), threshold
+
+
+def _checked_flow_path(acc: Grid, fraction: float):
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
     if acc.n_valid == 0:
         raise ValueError("grid has no valid cells")
-    return float(fraction * acc.values[acc.valid_mask].max())
+    return _flow_path(acc.values, acc.valid_mask, fraction)
+
+
+def accumulation_threshold(acc: Grid, fraction: float) -> float:
+    """Flow-path threshold: ``fraction`` times the maximum accumulation."""
+    return float(_checked_flow_path(acc, fraction)[1])
 
 
 def extract_flow_path(acc: Grid, fraction: float) -> tuple[np.ndarray, int]:
@@ -331,25 +382,21 @@ def extract_flow_path(acc: Grid, fraction: float) -> tuple[np.ndarray, int]:
     ``acc >= threshold`` and ``acc > 0``; the count is the flow-path
     length in cells. An all-zero accumulation yields an empty mask.
     """
-    threshold = accumulation_threshold(acc, fraction)
-    mask = acc.valid_mask & (acc.values >= threshold) & (acc.values > 0)
+    mask = _checked_flow_path(acc, fraction)[0]
     return mask, int(mask.sum())
 
 
-def slope(dem: Grid) -> Grid:
-    """Horn 3x3 slope as a dimensionless rise/run fraction.
+def _horn_slope(z: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
+    """Horn slope of elevations ``z`` (see :func:`slope`); NaN at nodata cells.
 
-    Missing window neighbors (outside the grid or nodata) are replaced by
-    the center cell's value, which zeroes their contribution to the
-    gradient. A gradient past the float range raises ``ValueError: grid
-    values must be finite``.
+    A valid cell is non-finite only where the gradient lies past the float
+    range.
     """
-    valid = dem.valid_mask
     # grid values are finite, so NaN marks exactly the missing cells
-    z = np.where(valid, dem.values, np.nan)
+    z = np.where(valid, z, np.nan)
     nb = [np.where(np.isnan(v), z, v) for v in _neighbors(_pad(z, np.nan))]
     e, se, s, sw, w_, nw, n_, ne = nb
-    denom = 8.0 * dem.cell_size
+    denom = 8.0 * cell_size
     with np.errstate(over="ignore", invalid="ignore"):
         gx = ((ne + 2.0 * e + se) - (nw + 2.0 * w_ + sw)) / denom
         gy = ((sw + 2.0 * s + se) - (nw + 2.0 * n_ + ne)) / denom
@@ -365,7 +412,39 @@ def slope(dem: Grid) -> Grid:
                 (ne + 2.0 * e + se) - (nw + 2.0 * w_ + sw),
                 (sw + 2.0 * s + se) - (nw + 2.0 * n_ + ne),
             )
-    return dem.with_values(grad)
+    return grad
+
+
+def slope(dem: Grid) -> Grid:
+    """Horn 3x3 slope as a dimensionless rise/run fraction.
+
+    Missing window neighbors (outside the grid or nodata) are replaced by
+    the center cell's value, which zeroes their contribution to the
+    gradient. A gradient past the float range raises ``ValueError: grid
+    values must be finite``.
+    """
+    return dem.with_values(_horn_slope(dem.values, dem.valid_mask, dem.cell_size))
+
+
+def _manning_velocity(
+    s: np.ndarray, acc: np.ndarray, valid: np.ndarray, params: HydroParams, cell_area: float
+) -> np.ndarray:
+    """Runoff velocity from slope ``s`` and accumulation ``acc`` (see :func:`runoff_velocity`)."""
+    s = np.where(valid, s, 0.0)
+    if params.slope_as_percent:
+        with np.errstate(over="ignore"):
+            root = np.sqrt(s * 100.0)
+        # a slope past ~1.8e306 overflows as a percentage; its root does not
+        over = np.isinf(root)
+        root[over] = 10.0 * np.sqrt(s[over])
+    else:
+        root = np.sqrt(s)
+    q = (np.where(valid, acc, 0.0) + 1.0) * params.rain_intensity * cell_area
+    flowing = (s > 0) & (q > 0)
+    core = np.zeros_like(s)
+    np.divide(q, params.channel_width, out=core, where=flowing)
+    core = np.where(flowing, (root / params.manning_n) * core ** (2.0 / 3.0), 0.0)
+    return np.where(flowing, core ** 0.6, 0.0)
 
 
 def runoff_velocity(slope_grid: Grid, acc: Grid, params: HydroParams, cell_area: float) -> Grid:
@@ -380,26 +459,13 @@ def runoff_velocity(slope_grid: Grid, acc: Grid, params: HydroParams, cell_area:
         raise ValueError("slope and accumulation grids are not congruent")
     if cell_area <= 0:
         raise ValueError("cell_area must be > 0")
-    valid = slope_grid.valid_mask
-    s = np.where(valid, slope_grid.values, 0.0)
-    if params.slope_as_percent:
-        with np.errstate(over="ignore"):
-            root = np.sqrt(s * 100.0)
-        # a slope past ~1.8e306 overflows as a percentage; its root does not
-        over = np.isinf(root)
-        root[over] = 10.0 * np.sqrt(s[over])
-    else:
-        root = np.sqrt(s)
-    q = (np.where(valid, acc.values, 0.0) + 1.0) * params.rain_intensity * cell_area
-    flowing = (s > 0) & (q > 0)
-    core = np.zeros_like(s)
-    np.divide(q, params.channel_width, out=core, where=flowing)
-    core = np.where(flowing, (root / params.manning_n) * core ** (2.0 / 3.0), 0.0)
-    return slope_grid.with_values(np.where(flowing, core ** 0.6, 0.0))
+    return slope_grid.with_values(
+        _manning_velocity(slope_grid.values, acc.values, slope_grid.valid_mask, params, cell_area)
+    )
 
 
 def max_velocity(v: Grid) -> float:
     """Maximum velocity over valid cells."""
     if v.n_valid == 0:
         raise ValueError("grid has no valid cells")
-    return float(v.values[v.valid_mask].max())
+    return float(_valid_max(v.values, v.valid_mask))

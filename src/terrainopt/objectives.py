@@ -21,6 +21,20 @@ import numpy as np
 
 from .hydrology import (
     HydroParams,
+    _accumulate,
+    _d8_codes,
+    _downstream_indices,
+    _edge_and_nodata_adjacent,
+    _flow_path,
+    _horn_slope,
+    _manning_velocity,
+    _priority_flood,
+    _valid_max,
+)
+# The Grid-level stages: evaluate runs a plan through them only to raise the
+# error of the stage where it fails, and perfbench's tracer looks these names
+# up in this module, so they stay importable here.
+from .hydrology import (
     extract_flow_path,
     fill_depressions,
     flow_accumulation,
@@ -79,6 +93,20 @@ def plan_length(base: Grid) -> int:
     return base.n_valid
 
 
+def _applied(base: Grid, deltas: np.ndarray) -> np.ndarray:
+    """Base elevations plus ``deltas`` at the valid cells, one plane per plan.
+
+    ``deltas`` is one plan or a (B, n_var) stack; nodata cells keep the
+    sentinel. A sum past the float range is left as inf, for the caller
+    to report.
+    """
+    values = np.empty(deltas.shape[:-1] + base.shape)
+    values[...] = base.values
+    with np.errstate(over="ignore"):
+        values[..., base.valid_mask] += deltas
+    return values
+
+
 def apply_plan(base: Grid, deltas: np.ndarray) -> Grid:
     """Add per-valid-cell deltas to the base DEM; nodata cells are untouched."""
     deltas = np.asarray(deltas, dtype=np.float64)
@@ -86,11 +114,8 @@ def apply_plan(base: Grid, deltas: np.ndarray) -> Grid:
         raise ValueError(
             f"plan length {deltas.shape} does not match {base.n_valid} valid cells"
         )
-    values = base.values.copy()
     # an overflow to inf is reported by with_values as a ValueError, not as a warning
-    with np.errstate(over="ignore"):
-        values[base.valid_mask] += deltas
-    return base.with_values(values)
+    return base.with_values(_applied(base, deltas))
 
 
 def plan_to_grid(base: Grid, deltas: np.ndarray) -> Grid:
@@ -121,18 +146,81 @@ def earthwork_cost(deltas: np.ndarray, cp: CostParams) -> float:
     return float(np.abs(deltas).sum() * cp.cell_area * cp.unit_price)
 
 
-def evaluate(base: Grid, deltas: np.ndarray, hp: HydroParams, cp: CostParams) -> ObjectiveVector:
-    """Run the full pipeline on a modified DEM and score all three objectives.
+# a stack of plans is scored in slices of at most this many cells, which
+# bounds the memory that each stage's arrays take
+_SLICE_CELLS = 2 ** 13
 
-    The modified DEM is depression-filled before routing on every call,
-    then: flow-path length from thresholded D8 accumulation, maximum
-    Manning velocity from Horn slope and accumulation, and earthwork
-    cost from the deltas. Pure function: identical inputs give identical
-    outputs. Any finite grid evaluates without a numeric warning; where a
-    plan overflows an elevation, or a slope lies past the float range
-    (1e307 m of drop over a 0.01 m cell), it raises ``ValueError: grid
-    values must be finite``.
+
+def evaluate(
+    base: Grid, deltas: np.ndarray, hp: HydroParams, cp: CostParams
+) -> ObjectiveVector | list[ObjectiveVector]:
+    """Run the full pipeline on modified DEMs and score all three objectives.
+
+    ``deltas`` is one plan of shape ``(n_var,)``, which returns an
+    :class:`ObjectiveVector`, or a stack of shape ``(B, n_var)``, which
+    returns a list of ``B`` of them in plan order. The stack gives every
+    plan the same objectives, bit for bit, as scoring it alone; it is
+    scored in slices of at most ``2**13`` cells, each stage one array
+    program over the slice, and only the fill and the accumulation loop
+    over its plans.
+
+    Each modified DEM is depression-filled before routing, then: flow-path
+    length from thresholded D8 accumulation, maximum Manning velocity from
+    Horn slope and accumulation, and earthwork cost from the deltas. Pure
+    function: identical inputs give identical outputs. Any finite grid
+    evaluates without a numeric warning; where a plan overflows an
+    elevation, or a slope lies past the float range (1e307 m of drop over a
+    0.01 m cell), it raises ``ValueError: grid values must be finite``. A
+    stack raises the error of its first failing plan, from the same stage
+    (``apply_plan`` or ``slope``) as that plan alone would.
     """
+    plans = np.asarray(deltas, dtype=np.float64)
+    one = plans.ndim != 2
+    stack = plans[None] if one else plans
+    n_var = base.n_valid
+    if n_var and stack.ndim == 2 and stack.shape[1] == n_var:
+        seeds = _edge_and_nodata_adjacent(base.valid_mask)
+        step = max(1, _SLICE_CELLS // base.values.size)
+        scores = []
+        for start in range(0, len(stack), step):
+            part = stack[start : start + step]
+            scored = _evaluate_stack(base, part, seeds, hp, cp)
+            if scored is None:
+                # a plan of this slice fails: the one-plan path raises its error
+                scored = [_evaluate_grids(base, plan, hp, cp) for plan in part]
+            scores += scored
+    else:
+        # a plan of the wrong length, or a base without valid cells: the
+        # first plan raises the error of apply_plan or of the fill
+        scores = [_evaluate_grids(base, plan, hp, cp) for plan in stack]
+    return scores[0] if one else scores
+
+
+def _evaluate_stack(base, plans, seeds, hp, cp) -> list[ObjectiveVector] | None:
+    """Objectives of a (B, n_var) stack of plans, or None if any plan fails."""
+    valid = base.valid_mask
+    z = _applied(base, plans)
+    if not np.isfinite(z).all():
+        return None
+    filled = _priority_flood(z, valid, seeds, float(hp.fill_epsilon))
+    del z
+    acc = _accumulate(_downstream_indices(_d8_codes(filled, valid, base.cell_size)))
+    acc = acc.reshape(filled.shape)
+    path_cells = _flow_path(acc, valid, hp.accumulation_threshold_fraction)[0].sum(axis=(1, 2))
+    s = _horn_slope(filled, valid, base.cell_size)
+    if not np.isfinite(s[:, valid]).all():
+        return None
+    v = _manning_velocity(s, acc, valid, hp, cp.cell_area)
+    if not np.isfinite(v[:, valid]).all():
+        return None
+    return [
+        ObjectiveVector(int(n), float(v_max), earthwork_cost(plan, cp))
+        for n, v_max, plan in zip(path_cells, _valid_max(v, valid), plans)
+    ]
+
+
+def _evaluate_grids(base, deltas, hp, cp) -> ObjectiveVector:
+    """One plan through the Grid-level stages, each of which raises its own errors."""
     modified = apply_plan(base, deltas)
     filled = fill_depressions(modified, hp.fill_epsilon)
     acc = flow_accumulation(flow_directions(filled))

@@ -302,24 +302,26 @@ def parse_ascii_grid(text: str) -> Grid:
 
 
 def _parse_data_tokens(lines, expected: int, last_line: int) -> np.ndarray:
-    """Token-by-token parse of the data lines, locating the first bad token."""
-    values = np.empty(expected, dtype=np.float64)
-    count = 0
+    """Token-by-token parse of the data lines, locating the first bad token.
+
+    Memory grows with the tokens present, never with the header's claim,
+    so a header promising more cells than fit in memory is a count error.
+    """
+    values = []
     for line_no, tokens in lines:
         for col, token in enumerate(tokens, start=1):
-            if count >= expected:
+            if len(values) >= expected:
                 raise GridFormatError(
                     f"expected {expected} data values, found extra token {token!r}",
                     line_no,
                     col,
                 )
-            values[count] = _parse_number(token, line_no, col, "data token")
-            count += 1
-    if count != expected:
+            values.append(_parse_number(token, line_no, col, "data token"))
+    if len(values) != expected:
         raise GridFormatError(
-            f"expected {expected} data values, found {count}", last_line, 1
+            f"expected {expected} data values, found {len(values)}", last_line, 1
         )
-    return values
+    return np.array(values, dtype=np.float64)
 
 
 def load_ascii_grid(path: str | Path) -> Grid:

@@ -161,6 +161,17 @@ class TestAnalyze:
         assert code == 3
         assert "line 6" in capsys.readouterr().err
 
+    def test_header_larger_than_memory_is_input_error(self, tmp_path, capsys):
+        # 1e22 cells declared, 3 given: a count error, with nothing sized by the header
+        bad = tmp_path / "huge.asc"
+        bad.write_text(
+            "ncols 100000000000\nnrows 100000000000\nxllcorner 0\nyllcorner 0\n"
+            "cellsize 10\n1 2 3\n"
+        )
+        code = main(["analyze", "--dem", str(bad), "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "expected 10000000000000000000000 data values, found 3" in capsys.readouterr().err
+
     def test_nodata_value_zero_matches_minus_9999(self, tmp_path, dem_with_holes, capsys):
         # headwater accumulation, outlet codes and flat slopes are 0, which
         # must stay valid data when the DEM's NODATA_value is 0

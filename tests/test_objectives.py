@@ -1,6 +1,7 @@
 """Plan application, earthwork cost and full three-objective evaluation."""
 import math
 import tempfile
+import traceback
 import warnings
 from pathlib import Path
 
@@ -17,12 +18,21 @@ from terrainopt import (
     apply_plan,
     earthwork_cost,
     evaluate,
+    extract_flow_path,
+    fill_depressions,
+    flow_accumulation,
+    flow_directions,
     grid_to_plan,
+    max_velocity,
     plan_length,
     plan_to_grid,
+    runoff_velocity,
     save_ascii_grid,
+    slope,
+    synthetic_dem,
 )
 from terrainopt.cli import main
+from terrainopt.objectives import _SLICE_CELLS
 
 HP = HydroParams()
 CP = CostParams()
@@ -91,6 +101,77 @@ def float_range_problems(draw):
         fill_epsilon=draw(st.sampled_from([0.0, 1e-5])), slope_as_percent=draw(st.booleans())
     )
     return grid, hp
+
+
+@st.composite
+def stacked_problems(draw):
+    """A grid, HydroParams and a stack of 0-5 plans for the grid.
+
+    Half the grids come from ``float_range_problems``, half are
+    ``masked_dems_and_plans`` elevations; nodata is written as -9999 or 0.
+    Plan values are 0, within +-2 m or within +- the grid's largest
+    |value|, so that some plans overflow an elevation. One stack in ten is
+    one column too wide or too narrow.
+    """
+    if draw(st.booleans()):
+        problem, hp = draw(float_range_problems())
+        values, valid, cell_size = problem.values, problem.valid_mask, problem.cell_size
+    else:
+        values, valid, _ = draw(masked_dems_and_plans())
+        cell_size = 10.0
+        hp = HydroParams(
+            fill_epsilon=draw(st.sampled_from([0.0, 1e-5])), slope_as_percent=draw(st.booleans())
+        )
+    sentinel = draw(st.sampled_from([-9999.0, 0.0]))
+    grid = Grid(
+        np.where(valid, values, sentinel), cell_size, nodata_sentinel=sentinel, valid_mask=valid
+    )
+    scale = float(np.abs(grid.values[valid]).max())
+    width = grid.n_valid
+    if not draw(st.integers(0, 9)):
+        width = max(0, width + draw(st.sampled_from([-1, 1])))
+    plans = draw(
+        hnp.arrays(
+            np.float64,
+            (draw(st.sampled_from([5, 4, 3, 2, 1, 0])), width),
+            elements=st.just(0.0) | st.floats(-2.0, 2.0) | st.floats(-scale, scale),
+        )
+    )
+    return grid, hp, plans
+
+
+def grid_pipeline(base, plan, hp, cp):
+    """One plan through the public Grid-level stages: the reference for evaluate."""
+    filled = fill_depressions(apply_plan(base, plan), hp.fill_epsilon)
+    acc = flow_accumulation(flow_directions(filled))
+    _, path_cells = extract_flow_path(acc, hp.accumulation_threshold_fraction)
+    v = runoff_velocity(slope(filled), acc, hp, cp.cell_area)
+    return ObjectiveVector(path_cells, max_velocity(v), earthwork_cost(plan, cp))
+
+
+def bits(scores):
+    """Each score field for field, its floats as bytes (so -0.0 is not 0.0)."""
+    return [(s.path_cells, np.float64(s.v_max).tobytes(), np.float64(s.cost).tobytes())
+            for s in scores]
+
+
+STAGES = {
+    "apply_plan", "fill_depressions", "flow_directions", "flow_accumulation",
+    "extract_flow_path", "slope", "runoff_velocity", "max_velocity", "earthwork_cost",
+}
+
+
+def outcome(score):
+    """What ``score()`` does: the bits of its scores, or its ValueError and the
+    stage it was raised from, with every warning issued on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = bits(score())
+        except ValueError as exc:
+            frames = traceback.extract_tb(exc.__traceback__)
+            result = (str(exc), [frame.name for frame in frames if frame.name in STAGES])
+    return result, [str(w.message) for w in caught]
 
 
 @pytest.fixture
@@ -278,6 +359,87 @@ class TestEvaluate:
         plans = [np.zeros(n), rng.uniform(-2, 2, n), -masked_base.values[masked_base.valid_mask]]
         for plan in plans:
             assert evaluate(zero, plan, HP, CP) == evaluate(masked_base, plan, HP, CP)
+
+
+class TestEvaluateStack:
+    """A (B, n_var) stack scores like its plans one at a time, bit for bit."""
+
+    @given(problem=stacked_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_property_stack_equals_plans_one_at_a_time(self, problem):
+        base, hp, plans = problem
+        stacked = outcome(lambda: evaluate(base, plans, hp, CP))
+        scores, warned = stacked
+        event(f"raises from {scores[1][-1]}" if isinstance(scores, tuple) else f"{len(plans)} plans")
+        event(f"{'some' if warned else 'no'} warnings")
+        assert stacked == outcome(lambda: [evaluate(base, plan, hp, CP) for plan in plans])
+        assert stacked == outcome(lambda: [grid_pipeline(base, plan, hp, CP) for plan in plans])
+
+    def test_empty_stack_scores_nothing(self, masked_base):
+        assert evaluate(masked_base, np.zeros((0, plan_length(masked_base))), HP, CP) == []
+
+    def test_wrong_width_stack_raises_apply_plans_length_error(self, masked_base):
+        with pytest.raises(ValueError, match=r"plan length \(8,\) does not match 7") as excinfo:
+            evaluate(masked_base, np.zeros((3, 8)), HP, CP)
+        assert excinfo.traceback[-1].name == "apply_plan"
+
+    @pytest.mark.parametrize("size", [12, 40])
+    def test_stack_longer_than_a_slice_equals_plans_one_at_a_time(self, size):
+        base = synthetic_dem(size, size, seed=3)
+        per_slice = _SLICE_CELLS // base.values.size
+        plans = np.random.default_rng(size).uniform(-2, 2, (2 * per_slice + 3, plan_length(base)))
+        plans[per_slice] = 0.0
+        expected = bits([evaluate(base, plan, HP, CP) for plan in plans])
+        assert bits(evaluate(base, plans, HP, CP)) == expected
+        assert bits(grid_pipeline(base, plan, HP, CP) for plan in plans) == expected
+
+    # flat at the float maximum on 0.01 m cells: the zero plan scores, +1e307
+    # on any cell overflows its elevation, and a corner cut to 0 m (a seed, so
+    # the fill keeps it) is a drop that no slope can hold
+    FLAT_MAX = Grid(np.full((5, 5), 1.7e308), 0.01)
+    UNIT_CP = CostParams(unit_price=1.0, cell_area=1.0)
+
+    @classmethod
+    def overflow(cls, cell):
+        plan = np.zeros(25)
+        plan[cell] = 1e307
+        return plan
+
+    @classmethod
+    def raised(cls, stack, hp=HP):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid values must be finite") as excinfo:
+                evaluate(cls.FLAT_MAX, stack, hp, cls.UNIT_CP)
+        return {entry.name: entry for entry in excinfo.traceback}
+
+    @pytest.mark.parametrize(
+        "k, m, size",
+        [(1, 3, 5), (100, 200, 400), (326, 327, 400), (330, 399, 400)],
+        ids=["same-slice", "same-slice-long", "across-slices", "second-slice"],
+    )
+    def test_earlier_of_two_overflowing_plans_raises_from_apply_plan(self, k, m, size):
+        # 5x5 cells make slices of 327 plans
+        stack = np.zeros((size, 25))
+        stack[k], stack[m] = self.overflow(7), self.overflow(12)
+        frames = self.raised(stack)
+        assert "slope" not in frames
+        assert np.array_equal(frames["apply_plan"].locals["deltas"], stack[k])
+
+    @pytest.mark.parametrize(
+        "failing, stage",
+        [("s", "slope"), ("so", "slope"), ("os", "apply_plan")],
+        ids=["slope", "slope-then-overflow", "overflow-then-slope"],
+    )
+    # without rain no cell flows, so an infinite slope leaves every velocity 0
+    @pytest.mark.parametrize("hp", [HP, HydroParams(rain_intensity=0.0)], ids=["rain", "dry"])
+    def test_first_failing_plan_raises_from_its_own_stage(self, failing, stage, hp):
+        steep = np.zeros(25)
+        steep[0] = -1.7e308
+        plans = {"s": steep, "o": self.overflow(7)}
+        frames = self.raised(np.array([np.zeros(25)] + [plans[f] for f in failing]), hp)
+        other = "apply_plan" if stage == "slope" else "slope"
+        assert stage in frames and other not in frames
 
 
 class TestAnyFiniteGrid:
