@@ -421,6 +421,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         )
     except Exception as exc:
         _write_manifest(manifest, cfg, "partial", [f"error = {exc}"])
+        if isinstance(exc, OverflowError):
+            # bounds and prices that let a plan's cost pass the float range
+            raise ConfigError(f"{exc}; narrow the bounds or lower the prices") from exc
         raise
     opt = cfg.optimizer
     _write_manifest(

@@ -3,13 +3,14 @@
 The pipeline operates on :class:`~terrainopt.raster.Grid` rasters and is
 deterministic end to end:
 
-* :func:`fill_depressions` removes sinks with a priority-flood sweep; a
-  small epsilon imposes a drainage gradient on filled flats.
+* :func:`fill_depressions` removes sinks, giving the Priority-Flood
+  surface by directional sweeps; a small epsilon imposes a drainage
+  gradient on filled flats.
 * :func:`flow_directions` assigns each valid cell its steepest-descent
   neighbor using the power-of-two D8 code convention (E=1, SE=2, S=4,
   SW=8, W=16, NW=32, N=64, NE=128; outlets carry 0).
 * :func:`flow_accumulation` counts upstream contributing cells
-  (exclusive of the cell itself) in topological order.
+  (exclusive of the cell itself) by pointer jumping.
 * :func:`extract_flow_path` thresholds accumulation at a fraction of its
   maximum and counts the cells selected.
 * :func:`slope` computes Horn's 3x3 finite-difference gradient magnitude
@@ -21,14 +22,13 @@ Each of these is a thin wrapper over a private kernel on plain arrays: a
 (B, h, w) stack of planes sharing one (h, w) valid mask, which the D8,
 path, slope and velocity kernels also take as a single (h, w) plane. So
 :func:`~terrainopt.objectives.evaluate` scores a stack of plans with one
-array program per stage; only the fill and the accumulation loop over the
-planes.
+array program per stage, and no stage loops over the planes.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -143,104 +143,97 @@ def _edge_and_nodata_adjacent(valid: np.ndarray) -> np.ndarray:
     return near & valid
 
 
-def _priority_flood(z, valid, seeds, epsilon):
-    """Fill each plane of a (B, h, w) stack, popping by (elevation, index).
+def _sweep_buffers(b: int, h: int, w: int):
+    """Inf-filled sweep buffers for a (B, h, w) stack, and four (B, h, w) views of them.
 
-    Only raised cells go through the heap.
+    The views hold the stack as is, flipped vertically, transposed, and
+    transposed then flipped, so that sweeping each buffer's rows top to
+    bottom sweeps the planes down, up, right and left. A square grid has
+    one buffer of 4B planes, any other grid two of 2B; each keeps an inf
+    column on either side.
+    """
+    shapes = [(4 * b, h, w + 2)] if h == w else [(2 * b, h, w + 2), (2 * b, w, h + 2)]
+    buffers = [np.full(shape, np.inf) for shape in shapes]
+    halves = [buffers[0][: 2 * b], buffers[0][2 * b :]] if h == w else buffers
+    views = []
+    for half, transposed in zip(halves, (False, True)):
+        for view in (half[:b, :, 1:-1], half[b:, ::-1, 1:-1]):
+            views.append(view.transpose(0, 2, 1) if transposed else view)
+    return buffers, views
 
-    A plain priority flood pushes every cell it reaches onto one heap. Here
-    the candidates come from two sources, merged by key:
 
-    * ``keys``, every valid cell's ``(z, index)`` presorted once, walked by a
-      cursor ``a``. A cell waits its turn there once it is *reached*
-      (visited, not raised); seeds start reached. The cursor skips cells no
-      one has reached. A key keeps the input elevation: the stream stays
-      sorted, and a raised cell's entry is only ever skipped.
-    * a heap holding only the cells raised to ``z_i + epsilon``, plus the
-      reached cells whose stream turn has already gone by.
+def _sweep_down(water: np.ndarray, z: np.ndarray, epsilon: float) -> None:
+    """Lower each row of ``water``, top to bottom, to ``max(z, min(3 above) + epsilon)``."""
+    k, h, width = water.shape
+    lowest = np.empty((k, width - 2))
+    for r in range(1, h):
+        above = water[:, r - 1]
+        np.minimum(above[:, :-2], above[:, 1:-1], out=lowest)
+        np.minimum(lowest, above[:, 2:], out=lowest)
+        lowest += epsilon
+        np.maximum(z[:, r, 1:-1], lowest, out=lowest)
+        np.minimum(water[:, r, 1:-1], lowest, out=water[:, r, 1:-1])
 
-    The cursor passes a cell only when its key is below every heap key, and
-    popped elevations never decrease, so a cell reached behind the cursor
-    ties the elevation being popped exactly (``epsilon == 0``, or
-    ``epsilon`` below one ulp of ``z``); such a cell goes on the heap. The
-    candidate set is therefore that of the single-heap flood at every step,
-    and its minimum is always taken: the pop order, and so every filled
-    value, is the same. This is the pit queue of Barnes, Lehman & Mulla
-    (2014) and Zhou, Sun & Fu (2016), with a presorted stream in place of
-    a FIFO so that the order is kept exactly.
 
-    The grid is padded with a one-cell border that counts as visited, so a
-    neighbor is ``i + offset`` with no bounds check. Padding keeps
-    row-major index order, so ties pop in the same order as on the
-    unpadded grid. Every plane shares ``valid`` and ``seeds``; the sorts
-    run as one call over the stack, and the flood itself plane by plane.
+def _fill(z, valid, seeds, epsilon):
+    """Fill each plane of a (B, h, w) stack by directional sweeps; inf at nodata cells.
+
+    The fill of Planchon & Darboux (2002): every valid cell but the seeds
+    starts at inf, and passes lower it to ``max(z, min(W of its 8
+    neighbors) + epsilon)`` until one changes nothing. A pass sweeps all
+    four orientations at once (:func:`_sweep_buffers`) and keeps their
+    minimum. Nodata holds inf, so water never crosses it.
+
+    Bit for bit the Priority-Flood+epsilon of Barnes, Lehman & Mulla
+    (2014), ties, sub-ulp epsilon and signed zeros included: with the seeds
+    fixed, the flood's surface is the greatest fixed point of that update
+    (by induction on its pop order, as ``fl(x + epsilon)`` is monotone),
+    and lowering from inf stays above every fixed point and stops only at
+    one. Passes number at most the flood tree's depth plus one: a few on
+    rough terrain, about one per turn of a spiralling drainage path.
     """
     b, h, w = z.shape
-    width = w + 2
-    padded = _pad(z, 0.0).reshape(b, -1)
-    cells = np.flatnonzero(_pad(valid, False))
-    order = cells[np.argsort(padded[:, cells], axis=1, kind="stable")]
-    # each cell's place in its plane's stream
-    stream_pos = np.zeros(padded.shape, dtype=np.int64)
-    np.put_along_axis(stream_pos, order, np.arange(cells.size), axis=1)
-    # each flood starts from these; it never enters the border or nodata
-    visited_at_start = _pad(~valid | seeds, True).ravel().tolist()
-    reached_at_start = _pad(seeds, False).ravel().tolist()
-    offsets = [dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]
-    heappop, heappush = heapq.heappop, heapq.heappush
-    filled = np.empty(padded.shape)
-    key_z = np.take_along_axis(padded, order, axis=1)
-    for k, row in enumerate(filled):
-        # one plane's lists at a time, so that they take no more memory in a stack
-        keys = list(zip(key_z[k].tolist(), order[k].tolist()))
-        pos = stream_pos[k].tolist()
-        out = padded[k].tolist()
-        visited = visited_at_start.copy()
-        reached = reached_at_start.copy()
-        heap = []
-        a, n = 0, len(keys)
-        while a < n or heap:
-            if heap and (a == n or heap[0] < keys[a]):
-                z_i, i = heappop(heap)
-            else:
-                z_i, i = keys[a]
-                a += 1
-                if not reached[i]:
-                    continue
-            floor = z_i + epsilon
-            for offset in offsets:
-                j = i + offset
-                if visited[j]:
-                    continue
-                visited[j] = True
-                z_j = out[j]
-                if z_j < floor:
-                    out[j] = floor
-                    heappush(heap, (floor, j))
-                elif pos[j] < a:
-                    heappush(heap, (z_j, j))
-                else:
-                    reached[j] = True
-        row[:] = out
-    return filled.reshape(b, h + 2, width)[:, 1:-1, 1:-1]
+    z_buffers, z_views = _sweep_buffers(b, h, w)
+    water_buffers, water_views = _sweep_buffers(b, h, w)
+    z = np.where(valid, z, np.inf)
+    for view in z_views:
+        view[...] = z
+    filled = np.where(seeds, z, np.inf)
+    # a cell raised past the float range fills to inf, as in the flood; the
+    # callers report it as a non-finite grid
+    with np.errstate(over="ignore"):
+        while True:
+            for view in water_views:
+                view[...] = filled
+            for water, z_buffer in zip(water_buffers, z_buffers):
+                _sweep_down(water, z_buffer, epsilon)
+            swept = reduce(np.minimum, water_views)
+            if np.array_equal(swept, filled):
+                break
+            filled = swept
+    # the flood keeps z where its floor only ties it, so a -0.0 stays -0.0
+    return np.where(filled == z, z, filled)
 
 
 def fill_depressions(dem: Grid, epsilon: float = 1e-5) -> Grid:
-    """Raise depression cells to their spill elevation (priority flood).
+    """Raise depression cells to their spill elevation.
 
     Water can leave through the grid perimeter and through nodata cells,
-    so both seed the flood. With ``epsilon > 0`` the filled surface gains
+    so both seed the fill. With ``epsilon > 0`` the filled surface gains
     a strictly descending 8-connected path from every valid cell to such
     an exit; with ``epsilon == 0`` depressions fill to dead-flat spill
     level. Cells outside depressions are unchanged, and the operation is
-    idempotent.
+    idempotent. The surface is bit for bit that of a priority flood popping
+    by (elevation, row-major index), computed by repeated sweeps (Planchon
+    & Darboux 2002); a drainage path that spirals needs about one sweep
+    pass per turn.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     if dem.n_valid == 0:
         raise ValueError("grid has no valid cells")
     seeds = _edge_and_nodata_adjacent(dem.valid_mask)
-    filled = _priority_flood(dem.values[None], dem.valid_mask, seeds, float(epsilon))[0]
+    filled = _fill(dem.values[None], dem.valid_mask, seeds, float(epsilon))[0]
     return dem.with_values(filled)
 
 
@@ -309,43 +302,42 @@ def _downstream_indices(codes: np.ndarray) -> np.ndarray:
 def _accumulate(ds: np.ndarray) -> np.ndarray:
     """Upstream cell counts for each row of a (B, n) array of downstream indices.
 
-    A Kahn-style topological sweep per row, after one in-degree count over
-    all rows. Raises :class:`FlowCycleError` if a row's directions contain
-    a cycle.
+    Pointer jumping (Wyllie 1979; Hillis & Steele 1986) over the whole
+    stack: cells point at their receivers in one flat array, outlets and
+    nodata at one shared sink. Each round adds every count to the cell it
+    points at and squares the pointers, doubling the reach of both, until
+    all point at the sink. Counts are integers below 2**53, exact in
+    float64. No acyclic path is longer than n - 1 steps, so a pointer still
+    live after ceil(log2 n) rounds raises :class:`FlowCycleError`, naming
+    the cycle cells of the first such row.
     """
     b, n = ds.shape
-    flows = ds >= 0
-    indeg = np.bincount((ds + n * np.arange(b)[:, None])[flows], minlength=b * n).reshape(b, n)
-    acc = np.empty((b, n))
-    for k, row in enumerate(acc):
-        down = ds[k].tolist()
-        degree = indeg[k].tolist()
-        stack = np.flatnonzero(indeg[k] == 0).tolist()
-        counts = [0] * n
-        processed = 0
-        while stack:
-            i = stack.pop()
-            processed += 1
-            d = down[i]
-            if d >= 0:
-                counts[d] += counts[i] + 1
-                degree[d] -= 1
-                if degree[d] == 0:
-                    stack.append(d)
-        if processed != n:
-            raise FlowCycleError(
-                f"flow directions contain a cycle ({n - processed} cells unresolved)"
-            )
-        row[:] = counts
-    return acc
+    sink = b * n
+    jump = np.append(np.where(ds >= 0, ds + n * np.arange(b)[:, None], sink), sink)
+    counts = np.bincount(jump, minlength=sink + 1).astype(np.float64)
+    rounds = (n - 1).bit_length()
+    while True:
+        counts[sink] = 0.0
+        if jump.min() == sink:
+            return counts[:-1].reshape(b, n)
+        if not rounds:
+            # every live pointer now lands on a cycle, and a cycle's own
+            # pointers rotate it, so they name each of its cells exactly once
+            pointers = jump[:-1].reshape(b, n)
+            row = pointers[np.flatnonzero((pointers != sink).any(axis=1))[0]]
+            cycle = np.unique(row[row != sink]).size
+            raise FlowCycleError(f"flow directions contain a cycle ({cycle} cells unresolved)")
+        rounds -= 1
+        counts += np.bincount(jump, weights=counts, minlength=sink + 1)
+        jump = jump[jump]
 
 
 def flow_accumulation(ff: FlowField) -> Grid:
     """Number of upstream cells draining through each cell (self excluded).
 
-    Headwater cells carry 0. Work is linear in the cell count. Raises
-    :class:`FlowCycleError` if the directions contain a cycle, which
-    signals an unfilled DEM.
+    Headwater cells carry 0. Work is the cell count times the logarithm of
+    the longest flow path. Raises :class:`FlowCycleError` if the directions
+    contain a cycle, which signals an unfilled DEM.
     """
     acc = _accumulate(_downstream_indices(ff.codes)[None])[0]
     return ff.grid.with_values(acc.reshape(ff.grid.shape))

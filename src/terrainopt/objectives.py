@@ -25,10 +25,10 @@ from .hydrology import (
     _d8_codes,
     _downstream_indices,
     _edge_and_nodata_adjacent,
+    _fill,
     _flow_path,
     _horn_slope,
     _manning_velocity,
-    _priority_flood,
     _valid_max,
 )
 # The Grid-level stages: evaluate runs a plan through them only to raise the
@@ -140,15 +140,22 @@ def grid_to_plan(base: Grid, delta_grid: Grid) -> np.ndarray:
 def earthwork_cost(deltas: np.ndarray, cp: CostParams) -> float:
     """Total earthwork cost ``sum(|delta_i|) * cell_area * unit_price``.
 
-    Cut and fill are priced identically through the absolute value.
+    Cut and fill are priced identically through the absolute value. A
+    total past the float range raises ``OverflowError``, with no warning
+    first.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
-    return float(np.abs(deltas).sum() * cp.cell_area * cp.unit_price)
+    with np.errstate(over="ignore"):
+        cost = float(np.abs(deltas).sum() * cp.cell_area * cp.unit_price)
+    if cost == np.inf:
+        raise OverflowError("earthwork cost past the float range")
+    return cost
 
 
 # a stack of plans is scored in slices of at most this many cells, which
-# bounds the memory that each stage's arrays take
-_SLICE_CELLS = 2 ** 13
+# bounds the memory that each stage's arrays take; the fill's sweeps cost
+# fewer numpy calls per plan the more plans a slice holds
+_SLICE_CELLS = 2 ** 15
 
 
 def evaluate(
@@ -160,9 +167,8 @@ def evaluate(
     :class:`ObjectiveVector`, or a stack of shape ``(B, n_var)``, which
     returns a list of ``B`` of them in plan order. The stack gives every
     plan the same objectives, bit for bit, as scoring it alone; it is
-    scored in slices of at most ``2**13`` cells, each stage one array
-    program over the slice, and only the fill and the accumulation loop
-    over its plans.
+    scored in slices of at most ``2**15`` cells, each stage one array
+    program over the slice, and no stage loops over its plans.
 
     Each modified DEM is depression-filled before routing, then: flow-path
     length from thresholded D8 accumulation, maximum Manning velocity from
@@ -170,9 +176,13 @@ def evaluate(
     function: identical inputs give identical outputs. Any finite grid
     evaluates without a numeric warning; where a plan overflows an
     elevation, or a slope lies past the float range (1e307 m of drop over a
-    0.01 m cell), it raises ``ValueError: grid values must be finite``. A
-    stack raises the error of its first failing plan, from the same stage
-    (``apply_plan`` or ``slope``) as that plan alone would.
+    0.01 m cell), it raises ``ValueError: grid values must be finite``.
+    Where a plan's earthwork cost passes the float range (``1e306`` m on
+    one cell at the default prices), it raises ``OverflowError`` from
+    :func:`earthwork_cost`, which ``optimize`` reports as a configuration
+    error. A stack raises the error of its first failing plan, from the
+    same stage (``apply_plan``, ``slope`` or ``earthwork_cost``) as that
+    plan alone would.
     """
     plans = np.asarray(deltas, dtype=np.float64)
     one = plans.ndim != 2
@@ -202,7 +212,7 @@ def _evaluate_stack(base, plans, seeds, hp, cp) -> list[ObjectiveVector] | None:
     z = _applied(base, plans)
     if not np.isfinite(z).all():
         return None
-    filled = _priority_flood(z, valid, seeds, float(hp.fill_epsilon))
+    filled = _fill(z, valid, seeds, float(hp.fill_epsilon))
     del z
     acc = _accumulate(_downstream_indices(_d8_codes(filled, valid, base.cell_size)))
     acc = acc.reshape(filled.shape)

@@ -291,6 +291,24 @@ class TestOptimize:
         for name in ("pareto.csv", "history.csv"):
             assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
 
+    def test_cost_past_the_float_range_is_config_error(self, tmp_path, capsys):
+        # random plans within +/-1e306 m cost past the float range on every
+        # 100 m^2 cell, though each elevation stays finite
+        dem_path = tmp_path / "dem.asc"
+        save_ascii_grid(dem_path, Grid(np.zeros((2, 2)), 10.0))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"dem_path = {dem_path}\noutput_dir = {tmp_path / 'run'}\n"
+            "population = 4\noffspring = 2\ngenerations = 1\nseed = 0\n"
+            "lower_bound = -1e306\nupper_bound = 1e306\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["optimize", "--config", str(cfg)]) == 2
+        assert "earthwork cost past the float range" in capsys.readouterr().err
+        manifest = read_flat_config(tmp_path / "run" / "manifest.txt")
+        assert manifest["status"] == "partial"
+
     def test_worker_failure_exits_4_with_partial_manifest(self, tmp_path, monkeypatch, capsys):
         # without the zero plan both plans overflow to inf in apply_plan; the
         # worker scores chunk 0, so its error is the one reported

@@ -21,6 +21,7 @@ from terrainopt import (
     slope,
     synthetic_dem,
 )
+from terrainopt.hydrology import _accumulate, _downstream_indices
 
 from oracles import (
     CODE_TO_OFFSET,
@@ -51,6 +52,38 @@ def reference_fill(g, epsilon):
         g.n_cols,
         epsilon,
     ).reshape(g.shape)
+
+
+def spiral_corridor_dem(h, w):
+    """100 m walls around a one-cell corridor that spirals in from the west edge.
+
+    The corridor rises 1 cm a cell inward, with a 10 cm sill every fifth
+    cell, so water pools behind each sill and drains out along the whole
+    spiral: about one sweep pass of the fill per turn.
+    """
+    values = np.full((h, w), 100.0)
+    r, c, heading, turned, k = 1, 0, 0, False, 0
+    while True:
+        values[r, c] = 0.01 * k + (0.1 if k % 5 == 4 else 0.0)
+        dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[heading]  # E, S, W, N: clockwise
+        # step on while the next cell is inner wall and leaves a wall ahead of it
+        r2, c2 = r + 2 * dr, c + 2 * dc
+        ahead = values[r2, c2] if 0 <= r2 < h and 0 <= c2 < w else 100.0
+        if 0 < r + dr < h - 1 and 0 < c + dc < w - 1 and values[r + dr, c + dc] == ahead == 100.0:
+            r, c, turned, k = r + dr, c + dc, False, k + 1
+        elif turned:
+            return Grid(values, 10.0)
+        else:
+            heading, turned = (heading + 1) % 4, True
+
+
+def serpentine_codes(h, w):
+    """D8 codes of one path through every cell: east on even rows, west on odd ones."""
+    codes = np.empty((h, w), dtype=np.uint8)
+    codes[0::2], codes[1::2] = 1, 16
+    codes[0::2, -1] = codes[1::2, 0] = 4
+    codes[-1, -1 if h % 2 else 0] = 0
+    return codes
 
 
 @st.composite
@@ -159,6 +192,25 @@ class TestFillDepressions:
         with pytest.raises(ValueError, match="no valid cells"):
             fill_depressions(g, 1e-5)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-5])
+    def test_signed_zeros_match_reference_flood_bit_for_bit(self, epsilon):
+        # the interior -0.0 cells drain through the +0.0 edge cell: a floor
+        # of +0.0 only ties them, so the flood leaves them -0.0
+        values = np.full((4, 4), 5.0)
+        values[1:3, 1:3] = -0.0
+        values[0, 1], values[3, 2] = 0.0, -0.0
+        g = Grid(values, 10.0)
+        filled = fill_depressions(g, epsilon).values
+        assert np.array_equal(filled.view(np.int64), reference_fill(g, epsilon).view(np.int64))
+
+    def test_fill_past_the_float_range_raises_without_warning(self):
+        values = np.full((3, 3), 1e308)
+        values[1, 1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid values must be finite"):
+                fill_depressions(Grid(values, 10.0), 1e308)
+
     def test_negative_epsilon_rejected(self, east_plane):
         with pytest.raises(ValueError, match="epsilon"):
             fill_depressions(east_plane, -1.0)
@@ -188,6 +240,15 @@ class TestFillDepressions:
             assert np.array_equal(fill_depressions(g, epsilon).values, reference_fill(g, epsilon)), (
                 f"trial {trial}"
             )
+
+    @pytest.mark.parametrize("shape", [(12, 12), (40, 40), (9, 31)])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-5])
+    @pytest.mark.parametrize("offset", [0.0, 1e12])
+    def test_matches_reference_flood_on_spiral_corridors(self, shape, epsilon, offset):
+        # the fill's worst case: its sweeps follow the spiral about one turn a pass
+        g = spiral_corridor_dem(*shape)
+        g = g.with_values(g.values + offset)
+        assert np.array_equal(fill_depressions(g, epsilon).values, reference_fill(g, epsilon))
 
     @given(
         g=dems() | walled_plateaus(),
@@ -414,6 +475,37 @@ class TestFlowAccumulation:
         codes = np.array([[1, 16]], dtype=np.uint8)  # E and W: a 2-cycle
         with pytest.raises(FlowCycleError):
             flow_accumulation(FlowField(codes, grid))
+
+    def test_cycle_error_counts_the_cycle_cells(self):
+        # a two-cell tail draining into a 2-cycle: only the cycle stays unresolved
+        grid = Grid(np.ones((1, 4)), 10.0)
+        codes = np.array([[1, 1, 1, 16]], dtype=np.uint8)
+        with pytest.raises(FlowCycleError, match=r"\(2 cells unresolved\)"):
+            flow_accumulation(FlowField(codes, grid))
+
+    def test_cycle_in_the_second_plane_of_a_stack(self):
+        # plane 0 drains east; plane 1 turns round its 2x2 block, a 4-cycle
+        codes = np.array([[[1, 0], [1, 0]], [[1, 4], [64, 16]]], dtype=np.uint8)
+        assert _accumulate(_downstream_indices(codes[:1])).tolist() == [[0, 1, 0, 1]]
+        with pytest.raises(FlowCycleError, match=r"\(4 cells unresolved\)"):
+            _accumulate(_downstream_indices(codes))
+
+    @pytest.mark.parametrize("shape", [(1, 2000), (2000, 1)])
+    def test_single_path_ramp(self, shape):
+        # on one path the k-th cell has exactly k cells upstream
+        ramp = Grid(np.arange(2000.0, 0.0, -1.0).reshape(shape), 10.0)
+        acc = flow_accumulation(flow_directions(ramp))
+        assert np.array_equal(acc.values.ravel(), np.arange(2000.0))
+
+    @pytest.mark.parametrize("size", [40, 200])
+    def test_single_path_serpentine(self, size):
+        codes = serpentine_codes(size, size)
+        acc = flow_accumulation(FlowField(codes, Grid(np.ones((size, size)), 10.0))).values
+        along = np.arange(size * size).reshape(size, size)
+        along[1::2] = along[1::2, ::-1]
+        assert np.array_equal(acc, along.astype(float))
+        if size == 40:
+            assert np.array_equal(acc, brute_accumulation(codes, np.ones(codes.shape, bool)))
 
     def test_off_grid_direction_rejected(self):
         grid = Grid(np.array([[1.0, 1.0]]), 10.0)

@@ -162,15 +162,17 @@ STAGES = {
 
 
 def outcome(score):
-    """What ``score()`` does: the bits of its scores, or its ValueError and the
-    stage it was raised from, with every warning issued on the way."""
+    """What ``score()`` does: the bits of its scores, or its ValueError or
+    OverflowError (the cost past the float range) and the stage it was raised
+    from, with every warning issued on the way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             result = bits(score())
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             frames = traceback.extract_tb(exc.__traceback__)
-            result = (str(exc), [frame.name for frame in frames if frame.name in STAGES])
+            stages = [frame.name for frame in frames if frame.name in STAGES]
+            result = (type(exc).__name__, str(exc), stages)
     return result, [str(w.message) for w in caught]
 
 
@@ -263,6 +265,17 @@ class TestEarthworkCost:
             assert earthwork_cost(alpha * deltas, CP) == pytest.approx(alpha * full, rel=1e-12)
         alpha = float(rng.uniform(0, 1))
         assert earthwork_cost(alpha * deltas, CP) == pytest.approx(alpha * full, rel=1e-12)
+
+    def test_cost_past_the_float_range_raises_without_warning(self):
+        # 1e306 m on one 100 m^2 cell at 100 per m^3 is 1e310; every elevation stays finite
+        base = Grid(np.zeros((2, 2)), 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="earthwork cost past the float range"):
+                evaluate(base, np.array([1e306, 0.0, 0.0, 0.0]), HP, CP)
+            with pytest.raises(OverflowError, match="earthwork cost past the float range"):
+                evaluate(base, np.array([[0.0] * 4, [0.0, 1e306, 0.0, 0.0]]), HP, CP)
+            assert earthwork_cost(np.array([1e306]), CostParams(1.0, 1.0)) == 1e306
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -370,7 +383,7 @@ class TestEvaluateStack:
         base, hp, plans = problem
         stacked = outcome(lambda: evaluate(base, plans, hp, CP))
         scores, warned = stacked
-        event(f"raises from {scores[1][-1]}" if isinstance(scores, tuple) else f"{len(plans)} plans")
+        event(f"raises {scores[0]} from {scores[2][-1]}" if isinstance(scores, tuple) else f"{len(plans)} plans")
         event(f"{'some' if warned else 'no'} warnings")
         assert stacked == outcome(lambda: [evaluate(base, plan, hp, CP) for plan in plans])
         assert stacked == outcome(lambda: [grid_pipeline(base, plan, hp, CP) for plan in plans])
