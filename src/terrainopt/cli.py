@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,10 +87,10 @@ class RunConfig:
 
     def __post_init__(self):
         # checked here so a bad picking setting fails before any optimization runs
-        if len(self.weights) != 3 or not all(w > 0 for w in self.weights):
-            raise ValueError("weights must be three positive numbers")
-        if not self.rho > 0:
-            raise ValueError("rho must be > 0")
+        if len(self.weights) != 3 or not all(0 < w < math.inf for w in self.weights):
+            raise ValueError("weights must be three finite positive numbers")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be finite and > 0")
         if self.every_k < 1:
             raise ValueError("every_k must be >= 1")
 

@@ -12,10 +12,13 @@ bit-reproducible regardless of how offspring evaluation is scheduled.
 
 Selection and variation run in the calling process; only the scoring of
 each batch of plans fans out, over every CPU the process may run on (see
-:func:`run_nsga2`). Worker processes score the first chunks of a batch,
-each sent down a pipe as soon as its plans are drawn; the calling process
-draws and scores the last chunk meanwhile, and joins the scores back in
-plan order. No helper thread runs.
+:func:`run_nsga2`). A batch is drawn chunk by chunk, each chunk one
+(k, n_var) array: the pairs' tournaments and random draws are taken one
+pair at a time in a fixed order, and SBX and mutation then run once over
+the whole chunk. Worker processes score the first chunks, each sent down a
+pipe as soon as it is drawn; the calling process draws and scores the
+last chunk meanwhile, and joins the scores back in plan order. No helper
+thread runs.
 
 Objective vectors are handled in the all-minimize sense (see
 :meth:`~terrainopt.objectives.ObjectiveVector.as_min_array`); history
@@ -27,14 +30,13 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, fields
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .objectives import CostParams, ObjectiveVector, evaluate, plan_length
 from .hydrology import HydroParams
-from .raster import Grid, _format_value
+from .raster import Grid, _format_value, _require_finite
 
 __all__ = [
     "OptimizerConfig",
@@ -77,6 +79,7 @@ class OptimizerConfig:
     snapshot_generations: tuple[int, ...] = (50, 100, 200, 300)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.population_size <= 0 or self.offspring_size <= 0:
             raise ValueError("population_size and offspring_size must be > 0")
         if self.generations < 0:
@@ -246,18 +249,33 @@ def sbx_crossover(
     if rng.random() >= cfg.crossover_probability:
         return p1.copy(), p2.copy()
     n = p1.shape[0]
-    crossed = rng.random(n) < 0.5
-    u = rng.random(n)
+    crossed_draw = rng.random(n)
+    return _sbx(p1, p2, crossed_draw, rng.random(n), cfg)
+
+
+def _sbx(
+    p1: np.ndarray, p2: np.ndarray, crossed_draw: np.ndarray, u: np.ndarray, cfg: OptimizerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """SBX children of parents that cross, elementwise over arrays of any equal shape.
+
+    A variable is crossed where its ``crossed_draw`` is below 0.5, with
+    the spread factor of its uniform draw ``u``; the children are clipped
+    to the bounds. Only the crossed variables are computed.
+    """
+    crossed = np.flatnonzero(crossed_draw < 0.5)
+    u = np.ravel(u)[crossed]
+    x1 = np.ravel(p1)[crossed]
+    x2 = np.ravel(p2)[crossed]
     exponent = 1.0 / (cfg.crossover_eta + 1.0)
     beta = np.where(
         u <= 0.5,
         (2.0 * u) ** exponent,
         (1.0 / (2.0 * (1.0 - u))) ** exponent,
     )
-    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
-    c1 = np.where(crossed, c1, p1)
-    c2 = np.where(crossed, c2, p2)
+    c1 = np.array(p1, order="C")
+    c2 = np.array(p2, order="C")
+    c1.reshape(-1)[crossed] = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
+    c2.reshape(-1)[crossed] = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
     np.clip(c1, cfg.lower_bound, cfg.upper_bound, out=c1)
     np.clip(c2, cfg.lower_bound, cfg.upper_bound, out=c2)
     return c1, c2
@@ -274,9 +292,23 @@ def polynomial_mutation(
     """
     plan = np.asarray(plan, dtype=np.float64)
     n = plan.shape[0]
-    mutate = np.flatnonzero(rng.random(n) < cfg.mutation_rate(n))
-    u = rng.random(n)[mutate]
-    x = plan[mutate]
+    mutate_draw = rng.random(n)
+    return _mutate(plan, mutate_draw, rng.random(n), cfg)
+
+
+def _mutate(
+    plans: np.ndarray, mutate_draw: np.ndarray, u: np.ndarray, cfg: OptimizerConfig
+) -> np.ndarray:
+    """Polynomial mutation of plans stacked along the last axis, elementwise.
+
+    A variable mutates where its ``mutate_draw`` is below the rate for
+    plans of that length, with the perturbation of its uniform draw
+    ``u``. Only those variables are perturbed.
+    """
+    plans = np.ascontiguousarray(plans)
+    mutate = np.flatnonzero(mutate_draw < cfg.mutation_rate(plans.shape[-1]))
+    u = np.ravel(u)[mutate]
+    x = plans.reshape(-1)[mutate]
     lb, ub = cfg.lower_bound, cfg.upper_bound
     span = ub - lb
     d1 = (x - lb) / span
@@ -289,8 +321,8 @@ def polynomial_mutation(
         2.0 * (1.0 - u_high) + 2.0 * (u_high - 0.5) * (1.0 - d2) ** (cfg.mutation_eta + 1.0)
     ) ** power
     # + 0.0 rather than a copy: an unmutated -0.0 becomes +0.0, as in x + delta
-    out = plan + 0.0
-    out[mutate] = x + np.where(u <= 0.5, delta_low, delta_high) * span
+    out = plans + 0.0
+    out.reshape(-1)[mutate] = x + np.where(u <= 0.5, delta_low, delta_high) * span
     np.clip(out, lb, ub, out=out)
     return out
 
@@ -418,49 +450,109 @@ class _Worker:
 
 
 def _score(
-    plans: Iterable[np.ndarray], size: int, base, hp, cp, workers: list[_Worker]
+    draw: Callable[[int], np.ndarray], size: int, base, hp, cp, workers: list[_Worker]
 ) -> tuple[list[np.ndarray], list[ObjectiveVector]]:
     """Draw ``size`` plans and score them over ``min(len(workers) + 1, size)`` processes.
 
-    The batch is cut into that many contiguous chunks, each scored by one
-    ``evaluate`` call on its (k, n_var) stack. Chunk k is sent to
-    ``workers[k]`` as soon as its plans are drawn; this process then draws
-    and scores the last chunk while the workers score theirs. Once every
-    reply is read, the first failing chunk's error is raised, so it is the
-    one a serial loop would raise. Returns the plans and their objectives,
+    The batch is cut into that many contiguous chunks; ``draw(k)`` gives
+    the next chunk as one (k, n_var) array, and one ``evaluate`` call
+    scores it as a stack. Chunk k is sent to ``workers[k]`` as soon as it
+    is drawn; this process then draws and scores the last chunk while the
+    workers score theirs. Once every reply is read, the first failing
+    chunk's error is raised, so it is the one a serial loop would raise.
+    Returns the plans, each an array of its own, and their objectives,
     both in plan order.
     """
     busy = workers[: size - 1]
     cuts = [size * k // (len(busy) + 1) for k in range(len(busy) + 2)]
-    plans = iter(plans)
-    drawn: list[np.ndarray] = []
+    chunks = []
     for worker, a, b in zip(busy, cuts, cuts[1:]):
-        chunk = list(islice(plans, b - a))
-        worker.send(np.array(chunk))
-        drawn += chunk
-    mine = list(islice(plans, size - cuts[-2]))
-    drawn += mine
+        chunks.append(draw(b - a))
+        worker.send(chunks[-1])
+    chunks.append(draw(size - cuts[-2]))
     try:
-        own = evaluate(base, np.array(mine), hp, cp)
+        own = evaluate(base, chunks[-1], hp, cp)
     except Exception as exc:
         own = exc
     replies = [worker.receive() for worker in busy] + [own]
     for reply in replies:
         if isinstance(reply, Exception):
             raise reply
-    return drawn, [scores for reply in replies for scores in reply]
+    # a copy per plan, so that survivors do not keep their whole chunk alive
+    plans = [row.copy() for chunk in chunks for row in chunk]
+    return plans, [scores for reply in replies for scores in reply]
 
 
-def _children(
+def _blocks(plans: np.ndarray) -> Callable[[int], np.ndarray]:
+    """A drawer handing out consecutive row blocks of ``plans``."""
+    start = 0
+
+    def draw(k: int) -> np.ndarray:
+        nonlocal start
+        start += k
+        return plans[start - k : start]
+
+    return draw
+
+
+def _offspring(
     population: list[Individual], cfg: OptimizerConfig, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """Offspring by tournament, SBX and mutation, drawn from ``rng`` only when taken."""
-    while True:
-        pa = tournament_select(population, rng)
-        pb = tournament_select(population, rng)
-        c1, c2 = sbx_crossover(pa.plan, pb.plan, cfg, rng)
-        yield polynomial_mutation(c1, cfg, rng)
-        yield polynomial_mutation(c2, cfg, rng)
+) -> Callable[[int], np.ndarray]:
+    """A drawer of offspring by tournament, SBX and mutation, one (k, n_var) chunk a call.
+
+    Each pair takes its draws from ``rng`` in the order of
+    :func:`sbx_crossover` and :func:`polynomial_mutation` called pair by
+    pair: two tournaments, the crossover coin, the crossed and spread
+    draws of a pair that crosses, then each child's mutation draws. Only
+    the arithmetic is batched, one :func:`_sbx` over the chunk's pairs and
+    one :func:`_mutate` over its children, so the children do not depend
+    on how the batch is cut. A pair split by a chunk boundary leaves its
+    second child unmutated until the next call, which draws its mutation
+    first.
+    """
+    n_var = population[0].plan.shape[0]
+    carried: Optional[np.ndarray] = None
+
+    def draw(k: int) -> np.ndarray:
+        nonlocal carried
+        children = np.empty((k, n_var))
+        mutate_draw = np.empty((k, n_var))
+        u = np.empty((k, n_var))
+        i = 0
+        if carried is not None and k:
+            children[0] = carried
+            rng.random(out=mutate_draw[0])
+            rng.random(out=u[0])
+            carried = None
+            i = 1
+        pairs = (k - i + 1) // 2
+        first, second = np.empty((2, pairs, n_var))
+        crossed_draw = np.empty((pairs, n_var))
+        spread = np.empty((pairs, n_var))
+        crosses = []
+        for p in range(pairs):
+            first[p] = tournament_select(population, rng).plan
+            second[p] = tournament_select(population, rng).plan
+            if rng.random() < cfg.crossover_probability:
+                rng.random(out=crossed_draw[len(crosses)])
+                rng.random(out=spread[len(crosses)])
+                crosses.append(p)
+            # the pair's children that fall in this chunk
+            for row in range(i + 2 * p, min(i + 2 * p + 2, k)):
+                rng.random(out=mutate_draw[row])
+                rng.random(out=u[row])
+        if crosses:
+            m = len(crosses)
+            first[crosses], second[crosses] = _sbx(
+                first[crosses], second[crosses], crossed_draw[:m], spread[:m], cfg
+            )
+        children[i::2] = first
+        children[i + 1 :: 2] = second[: (k - i) // 2]
+        if (k - i) % 2:
+            carried = second[-1]
+        return _mutate(children, mutate_draw, u, cfg)
+
+    return draw
 
 
 def run_nsga2(
@@ -483,11 +575,14 @@ def run_nsga2(
 
     Each batch of new plans is scored on ``min(usable CPUs, batch size)``
     processes: this one plus workers that receive the problem once, when
-    they start. The batch is drawn lazily and cut into contiguous chunks;
-    the workers score the first chunks, each sent to its worker as soon as
-    its plans are drawn, and this process draws and scores the last one
-    meanwhile. No helper thread runs. Results do not depend on the count;
-    with one usable CPU no process is started.
+    they start. The batch is cut into contiguous chunks and drawn one
+    chunk at a time, as one (k, n_var) array: generation 0 hands out row
+    blocks of its uniform draw, and later generations batch SBX and
+    mutation over each chunk's children while taking every random draw in
+    the order of a pair-by-pair loop. The workers score the first chunks,
+    each sent to its worker as soon as it is drawn, and this process draws
+    and scores the last one meanwhile. No helper thread runs. Results do
+    not depend on the count; with one usable CPU no process is started.
     """
     n_var = plan_length(base)
     streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.generations + 1)
@@ -507,10 +602,11 @@ def run_nsga2(
                 plans = rng.uniform(cfg.lower_bound, cfg.upper_bound, size=(size, n_var))
                 if cfg.seed_with_zero_plan:
                     plans[0] = 0.0
+                draw = _blocks(plans)
             else:
                 size = cfg.offspring_size
-                plans = _children(population, cfg, rng)
-            plans, scores = _score(plans, size, base, hp, cp, workers)
+                draw = _offspring(population, cfg, rng)
+            plans, scores = _score(draw, size, base, hp, cp, workers)
             newborn = [Individual(p, s, born=generation) for p, s in zip(plans, scores)]
             population = _select_survivors(population + newborn, cfg.population_size)
             front = [m for m in population if m.rank == 0]

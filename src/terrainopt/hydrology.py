@@ -32,7 +32,7 @@ from functools import reduce
 
 import numpy as np
 
-from .raster import Grid, NEIGHBOR_OFFSETS
+from .raster import Grid, NEIGHBOR_OFFSETS, _require_finite
 
 __all__ = [
     "FlowField",
@@ -86,6 +86,7 @@ class HydroParams:
     slope_as_percent: bool = False
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.manning_n > 0:
             raise ValueError("manning_n must be > 0")
         if not self.channel_width > 0:

@@ -43,7 +43,7 @@ from .hydrology import (
     runoff_velocity,
     slope,
 )
-from .raster import Grid
+from .raster import Grid, _require_finite
 
 __all__ = [
     "CostParams",
@@ -65,6 +65,7 @@ class CostParams:
     cell_area: float = 100.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.unit_price > 0:
             raise ValueError("unit_price must be > 0")
         if not self.cell_area > 0:

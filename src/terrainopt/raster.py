@@ -14,7 +14,7 @@ keeps every valid value and the valid mask exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -173,9 +173,17 @@ class Grid:
 def _format_value(x: float) -> str:
     # shortest decimal that parses back to the same float
     x = float(x)
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
+
+
+def _require_finite(params) -> None:
+    """Raise ValueError naming the first float field of a dataclass that is inf or NaN."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def write_ascii_grid(grid: Grid) -> str:

@@ -4,13 +4,24 @@ Everything here is written against the definitions, not against the
 library code paths: path tracing instead of topological accumulation,
 pairwise scans instead of fast non-dominated sorting, Dijkstra-style
 minimax spill search instead of priority flooding, and scalar math
-instead of vectorized numpy.
+instead of vectorized numpy. ``serial_children`` is the exception: it is
+the child-by-child loop over the library's scalar operators that the
+chunk-batched offspring drawer must reproduce.
 """
 import heapq
 import math
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
+
+from terrainopt.evolve import (
+    Individual,
+    OptimizerConfig,
+    polynomial_mutation,
+    sbx_crossover,
+    tournament_select,
+)
 
 # code -> (drow, dcol), row 0 is north
 CODE_TO_OFFSET = {
@@ -241,6 +252,51 @@ def full_polynomial_mutation(plan, cfg, rng) -> np.ndarray:
     out = plan + np.where(mutate, delta * span, 0.0)
     np.clip(out, lb, ub, out=out)
     return out
+
+
+def full_sbx_crossover(p1, p2, cfg, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated binary crossover with the spread formula over every variable.
+
+    The variables that are not crossed keep the parents' values; the draws
+    are the coin, then ``rng.random(n)`` twice for a pair that crosses, as
+    in the library.
+    """
+    p1 = np.asarray(p1, dtype=np.float64)
+    p2 = np.asarray(p2, dtype=np.float64)
+    if rng.random() >= cfg.crossover_probability:
+        return p1.copy(), p2.copy()
+    n = p1.shape[0]
+    crossed = rng.random(n) < 0.5
+    u = rng.random(n)
+    exponent = 1.0 / (cfg.crossover_eta + 1.0)
+    beta = np.where(
+        u <= 0.5,
+        (2.0 * u) ** exponent,
+        (1.0 / (2.0 * (1.0 - u))) ** exponent,
+    )
+    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    c1 = np.where(crossed, c1, p1)
+    c2 = np.where(crossed, c2, p2)
+    np.clip(c1, cfg.lower_bound, cfg.upper_bound, out=c1)
+    np.clip(c2, cfg.lower_bound, cfg.upper_bound, out=c2)
+    return c1, c2
+
+
+def serial_children(
+    population: list[Individual], cfg: OptimizerConfig, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Offspring by tournament, SBX and mutation, drawn from ``rng`` only when taken.
+
+    One child at a time through the library's scalar operators: the
+    reference for the chunk-batched offspring drawer.
+    """
+    while True:
+        pa = tournament_select(population, rng)
+        pb = tournament_select(population, rng)
+        c1, c2 = sbx_crossover(pa.plan, pb.plan, cfg, rng)
+        yield polynomial_mutation(c1, cfg, rng)
+        yield polynomial_mutation(c2, cfg, rng)
 
 
 def brute_fronts(objs: np.ndarray) -> list[list[int]]:

@@ -1,6 +1,7 @@
 """CLI subcommands: analyze, optimize, pick; exit codes and file contracts."""
 import csv
 import dataclasses
+import math
 import multiprocessing
 import os
 import re
@@ -32,6 +33,7 @@ from terrainopt.cli import (
     plan_checksum,
     read_flat_config,
 )
+from terrainopt.raster import _format_value
 
 from oracles import scalar_dominates
 
@@ -345,7 +347,11 @@ class TestOptimize:
         for name in ("pareto.csv", "history.csv"):
             assert (redo / name).read_bytes() == (run_dir / name).read_bytes()
 
-    @pytest.mark.parametrize("flag", [["--rho", "0"], ["--every-k", "0"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--rho", "0"], ["--every-k", "0"], ["--rho", "inf"], ["--rho", "nan"],
+         ["--weights", "1,inf,1"], ["--weights", "nan,1,1"]],
+    )
     def test_bad_picking_setting_fails_before_optimizing(self, tmp_path, flag, capsys):
         dem_path = tmp_path / "dem.asc"
         save_ascii_grid(dem_path, synthetic_dem(6, 6, seed=2))
@@ -625,6 +631,46 @@ class TestConfigSchema:
         for name, default in documented.items():
             text = "" if default == "—" else default.strip("`")
             assert build_run_config({name: text}) == RunConfig(), name
+
+
+class TestNonFiniteSettings:
+    KEYS = ("crossover_eta", "mutation_eta", "rain_intensity", "fill_epsilon",
+            "lower_bound", "upper_bound")
+    # a NaN fill_epsilon once hung the fill, so that case runs in a subprocess below
+    IN_PROCESS = [(key, value) for key in KEYS for value in ("inf", "-inf", "nan", "1e400")
+                  if (key, value) != ("fill_epsilon", "nan")]
+
+    @staticmethod
+    def config(tmp_path, key, value):
+        dem_path = tmp_path / "dem.asc"
+        save_ascii_grid(dem_path, synthetic_dem(6, 6, seed=5))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"dem_path = {dem_path}\noutput_dir = {tmp_path / 'run'}\n"
+            f"population = 4\noffspring = 2\ngenerations = 1\n{key} = {value}\n"
+        )
+        return cfg
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    @pytest.mark.parametrize("key, value", IN_PROCESS)
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, command, key, value):
+        assert main([command, "--config", str(self.config(tmp_path, key, value))]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    def test_nan_fill_epsilon_exits_2_in_time(self, tmp_path, command):
+        cfg = self.config(tmp_path, "fill_epsilon", "nan")
+        src = str(Path(terrainopt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        args = [sys.executable, "-m", "terrainopt.cli", command, "--config", str(cfg)]
+        done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "fill_epsilon must be finite" in done.stderr
+
+    def test_non_finite_values_format_without_error(self):
+        assert [_format_value(x) for x in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+        assert [_format_value(x) for x in (3.0, -0.0, 1e16, 2.5)] == ["3", "0", "1e+16", "2.5"]
 
 
 def test_cli_import_leaves_scipy_ndimage_unloaded():

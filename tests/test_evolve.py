@@ -1,13 +1,17 @@
 """NSGA-II operators and the seeded main loop."""
+import dataclasses
 import hashlib
+import math
 import multiprocessing
 import os
 import threading
 import time
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from terrainopt import (
     CostParams,
@@ -29,7 +33,13 @@ import terrainopt.evolve as evolve
 from terrainopt.cli import plan_checksum
 from terrainopt.evolve import ParetoArchive, _verify_archive, history_csv
 
-from oracles import brute_fronts, full_polynomial_mutation, scalar_dominates
+from oracles import (
+    brute_fronts,
+    full_polynomial_mutation,
+    full_sbx_crossover,
+    scalar_dominates,
+    serial_children,
+)
 
 HP = HydroParams()
 CP = CostParams()
@@ -64,6 +74,17 @@ def stable_history(archive):
         )
         for h in archive.history
     ]
+
+
+def pinned_plans(rng, count, n, cfg):
+    """``count`` random plans within the bounds, some variables pinned at a bound or at +-0.0."""
+    plans = rng.uniform(cfg.lower_bound, cfg.upper_bound, size=(count, n))
+    pinned = rng.random((count, n))
+    plans[pinned < 0.1] = cfg.lower_bound
+    plans[pinned > 0.9] = cfg.upper_bound
+    plans[(pinned > 0.45) & (pinned < 0.5)] = -0.0
+    plans[(pinned > 0.5) & (pinned < 0.55)] = 0.0
+    return plans
 
 
 def individual(objectives, rank=0, crowding=0.0, born=0):
@@ -230,6 +251,22 @@ class TestSbxCrossover:
         scale = np.abs(parent_sum).mean() + 1.0
         assert np.all(np.abs(child_sum - parent_sum) / scale < 0.01)
 
+    def test_matches_full_array_formula_bytewise(self):
+        rng = np.random.default_rng(114)
+        for trial in range(2000):
+            n = int(rng.integers(1, 400))
+            cfg = OptimizerConfig(
+                crossover_probability=(0.9, 1.0, 0.5, 0.0)[trial % 4],
+                crossover_eta=(0.0, 1.0, 2.0, 15.0, 100.0)[trial // 4 % 5],
+            )
+            p1, p2 = pinned_plans(rng, 2, n, cfg)
+            seed = int(rng.integers(2**32))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sbx_crossover(p1, p2, cfg, ours)
+            want = full_sbx_crossover(p1, p2, cfg, theirs)
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want], f"trial {trial}"
+            assert ours.random() == theirs.random()  # the same draws were taken
+
 
 class TestPolynomialMutation:
     def test_zero_probability_is_identity(self):
@@ -279,6 +316,47 @@ class TestPolynomialMutation:
             want = full_polynomial_mutation(plan, cfg, theirs)
             assert got.tobytes() == want.tobytes(), f"trial {trial}"
             assert ours.random() == theirs.random()  # the same draws were taken
+
+
+class TestOffspringChunks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_var=st.integers(1, 200),
+        crossover_probability=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        crossover_eta=st.sampled_from([0.0, 2.0, 15.0, 100.0]),
+        mutation_probability=st.sampled_from([None, 0.01, 0.25, 1.0]),
+        mutation_eta=st.sampled_from([0.0, 5.0, 20.0, 100.0]),
+        ranks=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+        size=st.integers(1, 30),
+        cuts=st.lists(st.integers(0, 30), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_chunk_split_equals_serial_draw(
+        self, n_var, crossover_probability, crossover_eta, mutation_probability,
+        mutation_eta, ranks, size, cuts, seed,
+    ):
+        cfg = OptimizerConfig(
+            crossover_probability=crossover_probability,
+            crossover_eta=crossover_eta,
+            mutation_probability=mutation_probability,
+            mutation_eta=mutation_eta,
+        )
+        rng = np.random.default_rng(seed)
+        plans = pinned_plans(rng, len(ranks), n_var, cfg)
+        # crowding ties between equal ranks make tournaments flip their coin
+        population = [
+            Individual(plan, ObjectiveVector(1, 1.0, 1.0), rank=rank, crowding=float(rank))
+            for plan, rank in zip(plans, ranks)
+        ]
+        cuts = sorted(min(c, size) for c in cuts)  # repeated cuts give empty chunks
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, size])]
+        ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        draw = evolve._offspring(population, cfg, ours)
+        chunks = [draw(k) for k in sizes]
+        assert [chunk.shape for chunk in chunks] == [(k, n_var) for k in sizes]
+        want = np.array(list(islice(serial_children(population, cfg, theirs), size)))
+        assert np.concatenate(chunks).tobytes() == want.tobytes()
+        assert ours.random() == theirs.random()  # the same draws were taken
 
 
 class TestRunLoop:
@@ -428,6 +506,12 @@ class TestParallelScoring:
         assert parallel.objectives_matrix().tobytes() == serial.objectives_matrix().tobytes()
         assert (serial.processes, parallel.processes) == (1, processes)
 
+    def test_archive_plans_own_their_data(self, monkeypatch):
+        # a plan that viewed its chunk would keep the whole chunk alive
+        archive = self.run_on(monkeypatch, 2)
+        assert archive.processes == 2
+        assert all(m.plan.base is None for m in archive.members)
+
     def test_process_count_capped_by_largest_batch(self, monkeypatch):
         cfg = OptimizerConfig(population_size=2, offspring_size=1, generations=2, rng_seed=5)
         archive = self.run_on(monkeypatch, 3, cfg=cfg)
@@ -524,3 +608,11 @@ class TestOptimizerConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_rejected(self, value):
+        names = [f.name for f in dataclasses.fields(OptimizerConfig) if isinstance(f.default, float)]
+        assert "crossover_eta" in names and "upper_bound" in names
+        for name in names:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                OptimizerConfig(**{name: value})

@@ -1,4 +1,6 @@
 """Depression filling, D8 routing, accumulation, slope and velocity."""
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -106,9 +108,10 @@ def dems(draw, max_side=8):
 def walled_plateaus(draw, max_side=8):
     """A walled plateau at one exact level with pits, drained through one bottom-row outlet.
 
-    Draining spreads up from the outlet, against the row-major index order,
-    so it reaches plateau cells only after the fill's presorted stream has
-    passed them: with no epsilon, these exact ties must wait on the heap.
+    Draining spreads up from the outlet, against the top-to-bottom order of
+    the fill's row sweep, so the plateau drains only through the sweep's
+    other orientations and later passes: with no epsilon, it settles on
+    exact ties.
     """
     shape = (draw(st.integers(3, max_side)), draw(st.integers(3, max_side)))
     plateau, pit, wall = 1.0, 0.0, 9.0
@@ -229,8 +232,8 @@ class TestFillDepressions:
             values, valid = random_dem_values(rng, (9, 9), nodata_fraction=0.1 * (trial % 3))
             cases.append((np.full((9, 9), 3.0), valid))  # one dead flat
             cases.append((np.round(values / 4.0), valid))  # four levels: many ties
-        # the seed (1, 4) reaches (1, 3) only after the stream has passed that
-        # lower-index cell of equal height; the pit at (1, 1) then spills through it
+        # the seed (1, 4) drains the cells of equal height west of it, and the
+        # pit at (1, 1) spills through that chain; only the westward sweep follows it
         chain = np.array([[9.0] * 5, [9.0, 0.0, 1.0, 1.0, 1.0], [9.0] * 5])
         cases.append((chain, np.ones(chain.shape, dtype=bool)))
         # at 1e12 one ulp is 2**-13, so z + 1e-12 and z + 1e-5 round back to z there
@@ -748,3 +751,12 @@ class TestHydroParams:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             HydroParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_rejected(self, value):
+        # a NaN fill_epsilon would never let the fill settle
+        names = [f.name for f in dataclasses.fields(HydroParams) if isinstance(f.default, float)]
+        assert "fill_epsilon" in names and "rain_intensity" in names
+        for name in names:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                HydroParams(**{name: value})

@@ -283,6 +283,12 @@ class TestEarthworkCost:
         with pytest.raises(ValueError):
             CostParams(cell_area=-5.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_params_rejected(self, value):
+        for name in ("unit_price", "cell_area"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                CostParams(**{name: value})
+
 
 class TestObjectiveVector:
     def test_min_sense_array(self):
