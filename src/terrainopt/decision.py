@@ -57,10 +57,11 @@ def normalize_front(objs: np.ndarray) -> NormalizedFront:
 def aasf_scores(normalized: np.ndarray, weights, rho: float) -> np.ndarray:
     """AASF score per row: ``max_i(f'_i / w_i) + rho * sum_i(f'_i / w_i)``."""
     weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    # written so that NaN fails each test
+    if not np.all((weights > 0) & (weights < np.inf)):
+        raise ValueError("weights must be finite and positive")
+    if not 0 < rho < np.inf:
+        raise ValueError("rho must be finite and positive")
     scaled = np.asarray(normalized, dtype=np.float64) / weights
     return scaled.max(axis=1) + rho * scaled.sum(axis=1)
 

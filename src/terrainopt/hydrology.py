@@ -149,31 +149,49 @@ def _sweep_buffers(b: int, h: int, w: int):
 
     The views hold the stack as is, flipped vertically, transposed, and
     transposed then flipped, so that sweeping each buffer's rows top to
-    bottom sweeps the planes down, up, right and left. A square grid has
-    one buffer of 4B planes, any other grid two of 2B; each keeps an inf
-    column on either side.
+    bottom sweeps the planes down, up, right and left. A buffer is laid
+    out (rows, planes, cols + 2): each of its rows holds that row of every
+    plane back to back, each between two inf columns, as one contiguous
+    run. A square grid has one buffer of 4B planes, any other grid two of
+    2B.
     """
-    shapes = [(4 * b, h, w + 2)] if h == w else [(2 * b, h, w + 2), (2 * b, w, h + 2)]
+    shapes = [(h, 4 * b, w + 2)] if h == w else [(h, 2 * b, w + 2), (w, 2 * b, h + 2)]
     buffers = [np.full(shape, np.inf) for shape in shapes]
-    halves = [buffers[0][: 2 * b], buffers[0][2 * b :]] if h == w else buffers
+    halves = [buffers[0][:, : 2 * b], buffers[0][:, 2 * b :]] if h == w else buffers
     views = []
-    for half, transposed in zip(halves, (False, True)):
-        for view in (half[:b, :, 1:-1], half[b:, ::-1, 1:-1]):
-            views.append(view.transpose(0, 2, 1) if transposed else view)
+    for half, axes in zip(halves, ((1, 0, 2), (1, 2, 0))):
+        for view in (half[:, :b, 1:-1], half[::-1, b:, 1:-1]):
+            views.append(view.transpose(axes))
     return buffers, views
 
 
-def _sweep_down(water: np.ndarray, z: np.ndarray, epsilon: float) -> None:
-    """Lower each row of ``water``, top to bottom, to ``max(z, min(3 above) + epsilon)``."""
-    k, h, width = water.shape
-    lowest = np.empty((k, width - 2))
-    for r in range(1, h):
-        above = water[:, r - 1]
-        np.minimum(above[:, :-2], above[:, 1:-1], out=lowest)
-        np.minimum(lowest, above[:, 2:], out=lowest)
-        lowest += epsilon
-        np.maximum(z[:, r, 1:-1], lowest, out=lowest)
-        np.minimum(water[:, r, 1:-1], lowest, out=water[:, r, 1:-1])
+def _sweep_down(water: np.ndarray, z: np.ndarray, epsilon: float):
+    """One buffer's downward sweep, as a function that each pass of the fill calls.
+
+    A call lowers each row of ``water``, top to bottom, to ``max(z, min(3
+    above) + epsilon)``. Both buffers are laid out as :func:`_sweep_buffers` makes them, and
+    each row is swept as one flat run over all planes. A pad column holds
+    inf in ``z`` too, so it computes ``max(inf, ...)``, stays inf, and
+    keeps each plane's water apart from the next. The views of each run
+    are cut here once, and every pass of the fill reuses them.
+    """
+    water = water.reshape(water.shape[0], -1)
+    z = z.reshape(water.shape)
+    lowest = np.empty(water.shape[1] - 2)
+    runs = [
+        (water[r - 1, :-2], water[r - 1, 1:-1], water[r - 1, 2:], z[r, 1:-1], water[r, 1:-1])
+        for r in range(1, water.shape[0])
+    ]
+
+    def sweep():
+        for left, above, right, z_row, row in runs:
+            np.minimum(left, above, out=lowest)
+            np.minimum(lowest, right, out=lowest)
+            np.add(lowest, epsilon, out=lowest)
+            np.maximum(z_row, lowest, out=lowest)
+            np.minimum(row, lowest, out=row)
+
+    return sweep
 
 
 def _fill(z, valid, seeds, epsilon):
@@ -200,14 +218,15 @@ def _fill(z, valid, seeds, epsilon):
     for view in z_views:
         view[...] = z
     filled = np.where(seeds, z, np.inf)
+    sweeps = [_sweep_down(water, zb, epsilon) for water, zb in zip(water_buffers, z_buffers)]
     # a cell raised past the float range fills to inf, as in the flood; the
     # callers report it as a non-finite grid
     with np.errstate(over="ignore"):
         while True:
             for view in water_views:
                 view[...] = filled
-            for water, z_buffer in zip(water_buffers, z_buffers):
-                _sweep_down(water, z_buffer, epsilon)
+            for sweep in sweeps:
+                sweep()
             swept = reduce(np.minimum, water_views)
             if np.array_equal(swept, filled):
                 break
@@ -239,19 +258,31 @@ def fill_depressions(dem: Grid, epsilon: float = 1e-5) -> Grid:
 
 
 def _d8_codes(z: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
-    """D8 codes of filled elevations ``z`` (see :func:`flow_directions`)."""
+    """D8 codes of filled elevations ``z`` (see :func:`flow_directions`).
+
+    The steepest neighbor is kept as a running maximum over the eight, in
+    code order: a later neighbor wins only if strictly steeper, so ties go
+    to the first, as in ``argmax``. A NaN gradient, which only a fill that
+    reached inf gives, stays in the maximum and makes the cell an outlet.
+    """
     diag = cell_size * math.sqrt(2.0)
     # a missing neighbor holds inf, so its drop is -inf and it never wins; a
     # nodata centre holds -inf, so the sentinel never enters the arithmetic
     padded = _pad(np.where(valid, z, np.inf), np.inf)
     centre = np.where(valid, z, -np.inf)
-    grads = np.empty((8,) + z.shape)
+    code = np.full(z.shape, D8_CODES[0])
+    best_grad = np.empty(z.shape)
+    grad = np.empty(z.shape)
+    better = np.empty(z.shape, dtype=bool)
     with np.errstate(over="ignore"):
         for k, ((dr, dc), nb) in enumerate(zip(NEIGHBOR_OFFSETS, _neighbors(padded))):
-            np.subtract(centre, nb, out=grads[k])
-            grads[k] /= diag if dr and dc else cell_size
-    best = np.argmax(grads, axis=0)
-    best_grad = np.take_along_axis(grads, best[None], axis=0)[0]
+            out = grad if k else best_grad
+            np.subtract(centre, nb, out=out)
+            out /= diag if dr and dc else cell_size
+            if k:
+                np.greater(grad, best_grad, out=better)
+                np.copyto(code, D8_CODES[k], where=better)
+                np.maximum(best_grad, grad, out=best_grad)
     # a drop or gradient past the float range ties at inf with every other one
     # that overflowed; there, compare drops halved first so they cannot
     # overflow, per unit of cell size (a common factor)
@@ -262,8 +293,8 @@ def _d8_codes(z: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
             (c - nb[redo] / 2.0) / math.hypot(dr, dc)
             for (dr, dc), nb in zip(NEIGHBOR_OFFSETS, _neighbors(padded))
         ]
-        best[redo] = np.argmax(halved, axis=0)
-    return np.where(valid & (best_grad > 0), D8_CODES[best], OUTLET).astype(np.uint8)
+        code[redo] = D8_CODES[np.argmax(halved, axis=0)]
+    return np.where(valid & (best_grad > 0), code, OUTLET).astype(np.uint8)
 
 
 def flow_directions(filled_dem: Grid) -> FlowField:

@@ -69,6 +69,16 @@ class TestAasfScores:
         with pytest.raises(ValueError):
             aasf_scores(np.zeros((1, 3)), (1.0, 1.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite and positive"):
+            aasf_scores(np.zeros((2, 3)), (bad, 1.0, 1.0), 1e-4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rho_rejected(self, bad):
+        with pytest.raises(ValueError, match="rho must be finite and positive"):
+            aasf_scores(np.zeros((2, 3)), (1.0, 1.0, 1.0), bad)
+
 
 class TestAasfPick:
     def test_ideal_member_wins(self):
@@ -127,6 +137,14 @@ class TestAasfPick:
         archive.members = []
         with pytest.raises(ValueError, match="empty"):
             aasf_pick(archive)
+
+    @pytest.mark.parametrize(
+        "weights, rho", [((1.0, np.nan, 1.0), 1e-4), ((1.0, 1.0, 1.0), np.nan)]
+    )
+    def test_pick_with_nan_setting_raises_instead_of_member_0(self, weights, rho):
+        archive = make_archive([(2, 3.0, 400.0), (10, 1.0, 100.0)])
+        with pytest.raises(ValueError):
+            aasf_pick(archive, weights, rho)
 
 
 class TestBestPerObjective:

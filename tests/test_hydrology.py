@@ -23,7 +23,7 @@ from terrainopt import (
     slope,
     synthetic_dem,
 )
-from terrainopt.hydrology import _accumulate, _downstream_indices
+from terrainopt.hydrology import _accumulate, _d8_codes, _downstream_indices, _fill
 
 from oracles import (
     CODE_TO_OFFSET,
@@ -383,6 +383,85 @@ class TestFlowDirections:
         g = random_grid(rng, (10, 10))
         ff = flow_directions(fill_depressions(g, 1e-5))
         assert set(np.unique(ff.codes)) <= {0, 1, 2, 4, 8, 16, 32, 64, 128}
+
+
+STACK_SHAPES = [(6, 6), (5, 8), (8, 5), (1, 1), (1, 7), (7, 1), (2, 2), (3, 1)]
+
+
+def planes_apart(rng, b, shape, nodata_fraction):
+    """A (b, h, w) stack on one valid mask whose neighbouring planes sit far apart.
+
+    Plane k is rough terrain raised by 1e3·k, except one plane of pits
+    (every interior cell far below the perimeter) and, next to it, one
+    plane 1e6 higher; a plane reading another's cells fills to a visibly
+    different surface.
+    """
+    planes, valid = [], None
+    for k in range(b):
+        values, mask = random_dem_values(rng, shape, nodata_fraction)
+        valid = mask if valid is None else valid
+        planes.append((np.round(values) if k % 2 else values) + 1e3 * k)
+    pits = np.full(shape, 2e3)
+    pits[1:-1, 1:-1] = rng.uniform(-1e3, -999.0, pits[1:-1, 1:-1].shape)
+    planes[b // 2] = pits
+    planes[b // 2 - 1] += 1e6
+    return np.array(planes), valid
+
+
+def sparse_seeds(rng, valid):
+    """Nodata-adjacent cells and one random valid cell.
+
+    Every valid region keeps a seed, but most of the perimeter is no seed,
+    so the fill must read what lies past the grid's edge as a wall.
+    """
+    h, w = valid.shape
+    seeds = np.zeros_like(valid)
+    for r, c in zip(*np.nonzero(valid)):
+        seeds[r, c] = any(
+            0 <= r + dr < h and 0 <= c + dc < w and not valid[r + dr, c + dc]
+            for dr, dc in CODE_TO_OFFSET.values()
+        )
+    seeds.flat[rng.choice(np.flatnonzero(valid))] = True
+    return seeds
+
+
+class TestStackedKernels:
+    """_fill and _d8_codes on stacks of several planes, plane by plane against the oracles."""
+
+    @pytest.mark.parametrize("b", [2, 3, 5])
+    @pytest.mark.parametrize("shape", STACK_SHAPES)
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-5, 0.3])
+    def test_fill_matches_reference_flood_per_plane(self, b, shape, epsilon):
+        rng = np.random.default_rng([b, *shape])
+        for trial in range(4):
+            z, valid = planes_apart(rng, b, shape, nodata_fraction=0.15 * (trial % 3))
+            h, w = shape
+            for seeds in (exit_cells(valid), sparse_seeds(rng, valid)):
+                filled = _fill(z, valid, seeds, epsilon)
+                assert np.isinf(filled[:, ~valid]).all()
+                for k in range(b):
+                    ref = priority_flood_reference(
+                        z[k].ravel(), valid.ravel(), seeds.ravel(), h, w, epsilon
+                    ).reshape(shape)
+                    assert filled[k][valid].tobytes() == ref[valid].tobytes(), (trial, k)
+
+    @pytest.mark.parametrize("b", [2, 3, 5])
+    @pytest.mark.parametrize("shape", STACK_SHAPES)
+    def test_d8_matches_exact_oracle_per_plane(self, b, shape):
+        rng = np.random.default_rng([b, *shape, 8])
+        for trial in range(3):
+            z, valid = planes_apart(rng, b, shape, nodata_fraction=0.1 * trial)
+            z[b - 1] = (z[b - 1] % 10.0 - 5.0) * 3e307  # drops past the float range
+            for cell_size in (0.5, 1.0, 10.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    codes = _d8_codes(z, valid, cell_size)
+                for k in range(b):
+                    assert np.array_equal(codes[k], exact_d8(z[k], valid, cell_size)), (
+                        trial,
+                        cell_size,
+                        k,
+                    )
 
 
 def assert_basins_conserved(ff, acc):
