@@ -274,7 +274,7 @@ def _d8_codes(z: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
     best_grad = np.empty(z.shape)
     grad = np.empty(z.shape)
     better = np.empty(z.shape, dtype=bool)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for k, ((dr, dc), nb) in enumerate(zip(NEIGHBOR_OFFSETS, _neighbors(padded))):
             out = grad if k else best_grad
             np.subtract(centre, nb, out=out)
@@ -463,11 +463,14 @@ def _manning_velocity(
         root[over] = 10.0 * np.sqrt(s[over])
     else:
         root = np.sqrt(s)
-    q = (np.where(valid, acc, 0.0) + 1.0) * params.rain_intensity * cell_area
-    flowing = (s > 0) & (q > 0)
-    core = np.zeros_like(s)
-    np.divide(q, params.channel_width, out=core, where=flowing)
-    core = np.where(flowing, (root / params.manning_n) * core ** (2.0 / 3.0), 0.0)
+    # a discharge or velocity past the float range comes out inf, or NaN where
+    # it meets a factor that underflowed to 0; either is rejected as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (np.where(valid, acc, 0.0) + 1.0) * params.rain_intensity * cell_area
+        flowing = (s > 0) & (q > 0)
+        core = np.zeros_like(s)
+        np.divide(q, params.channel_width, out=core, where=flowing)
+        core = np.where(flowing, (root / params.manning_n) * core ** (2.0 / 3.0), 0.0)
     return np.where(flowing, core ** 0.6, 0.0)
 
 
@@ -477,7 +480,8 @@ def runoff_velocity(slope_grid: Grid, acc: Grid, params: HydroParams, cell_area:
     The cumulative discharge is ``Q = (acc + 1) * rain_intensity *
     cell_area``; the +1 adds the cell's own rainfall so a rained-on cell
     never has zero discharge. Velocity is exactly 0 where the slope or
-    the discharge is 0.
+    the discharge is 0. A discharge or velocity past the float range
+    raises ``ValueError: grid values must be finite``.
     """
     if not slope_grid.congruent(acc):
         raise ValueError("slope and accumulation grids are not congruent")

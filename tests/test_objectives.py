@@ -69,7 +69,10 @@ def float_range_problems(draw):
     ties). The scale, from 1e-320 to 1.7e308, and the cell size, from 0.01
     to 1e300, are each one of their bounds half the time and log-uniform
     otherwise, so steep grids past the float range are common. 0-30% of
-    the cells are nodata.
+    the cells are nodata. ``fill_epsilon``, ``manning_n``,
+    ``channel_width`` and ``rain_intensity`` keep their usual values half
+    the time and are drawn like the scale otherwise, so fills, discharges
+    and velocities past the float range are common too.
     """
 
     def log_uniform(lo, hi):
@@ -97,8 +100,17 @@ def float_range_problems(draw):
         nodata_sentinel=-9999.0,
         valid_mask=valid,
     )
+    def usual_or_any(*usual):
+        if draw(st.booleans()):
+            return draw(st.sampled_from(usual))
+        return log_uniform(1e-320, 1.7e308)
+
     hp = HydroParams(
-        fill_epsilon=draw(st.sampled_from([0.0, 1e-5])), slope_as_percent=draw(st.booleans())
+        manning_n=usual_or_any(HP.manning_n),
+        channel_width=usual_or_any(HP.channel_width),
+        rain_intensity=usual_or_any(HP.rain_intensity),
+        fill_epsilon=usual_or_any(0.0, 1e-5),
+        slope_as_percent=draw(st.booleans()),
     )
     return grid, hp
 
@@ -490,8 +502,11 @@ class TestAnyFiniteGrid:
             save_ascii_grid(dem_path, grid)
             config = Path(tmp) / "run.cfg"
             config.write_text(
-                f"fill_epsilon = {hp.fill_epsilon!r}\n"
-                f"slope_as_percent = {str(hp.slope_as_percent).lower()}\n"
+                "".join(
+                    f"{key} = {getattr(hp, key)!r}\n"
+                    for key in ("manning_n", "channel_width", "rain_intensity", "fill_epsilon")
+                )
+                + f"slope_as_percent = {str(hp.slope_as_percent).lower()}\n"
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
