@@ -463,15 +463,26 @@ def _manning_velocity(
         root[over] = 10.0 * np.sqrt(s[over])
     else:
         root = np.sqrt(s)
-    # a discharge or velocity past the float range comes out inf, or NaN where
-    # it meets a factor that underflowed to 0; either is rejected as not finite
     with np.errstate(over="ignore", invalid="ignore"):
         q = (np.where(valid, acc, 0.0) + 1.0) * params.rain_intensity * cell_area
         flowing = (s > 0) & (q > 0)
         core = np.zeros_like(s)
         np.divide(q, params.channel_width, out=core, where=flowing)
         core = np.where(flowing, (root / params.manning_n) * core ** (2.0 / 3.0), 0.0)
-    return np.where(flowing, core ** 0.6, 0.0)
+    v = np.where(flowing, core ** 0.6, 0.0)
+    # a factor past the float range makes v inf, or NaN where it meets one that
+    # underflowed to 0; there, take v from logs, which is inf only where v
+    # itself lies past the float range
+    redo = flowing & ~np.isfinite(v)
+    if redo.any():
+        log_q = np.log(acc[redo] + 1.0) + math.log(params.rain_intensity) + math.log(cell_area)
+        log_core = (
+            np.log(root[redo]) - math.log(params.manning_n)
+            + (log_q - math.log(params.channel_width)) * (2.0 / 3.0)
+        )
+        with np.errstate(over="ignore"):
+            v[redo] = np.exp(0.6 * log_core)
+    return v
 
 
 def runoff_velocity(slope_grid: Grid, acc: Grid, params: HydroParams, cell_area: float) -> Grid:
@@ -480,8 +491,9 @@ def runoff_velocity(slope_grid: Grid, acc: Grid, params: HydroParams, cell_area:
     The cumulative discharge is ``Q = (acc + 1) * rain_intensity *
     cell_area``; the +1 adds the cell's own rainfall so a rained-on cell
     never has zero discharge. Velocity is exactly 0 where the slope or
-    the discharge is 0. A discharge or velocity past the float range
-    raises ``ValueError: grid values must be finite``.
+    the discharge is 0. A velocity past the float range raises
+    ``ValueError: grid values must be finite``; a discharge or factor past
+    it does not, where the velocity itself is finite.
     """
     if not slope_grid.congruent(acc):
         raise ValueError("slope and accumulation grids are not congruent")

@@ -181,48 +181,46 @@ def evaluate(
     Where a plan's earthwork cost passes the float range (``1e306`` m on
     one cell at the default prices), it raises ``OverflowError`` from
     :func:`earthwork_cost`, which ``optimize`` reports as a configuration
-    error. A stack raises the error of its first failing plan, from the
-    same stage (``apply_plan``, ``slope`` or ``earthwork_cost``) as that
-    plan alone would.
+    error.
+
+    A slice that fails, or that does not fit the base, is scored again plan
+    by plan through the Grid-level stages. So a stack raises the error of
+    its first failing plan, from the same stage (``apply_plan``,
+    ``fill_depressions``, ``slope``, ``runoff_velocity`` or
+    ``earthwork_cost``) as that plan alone would.
     """
     plans = np.asarray(deltas, dtype=np.float64)
     one = plans.ndim != 2
     stack = plans[None] if one else plans
-    n_var = base.n_valid
-    if n_var and stack.ndim == 2 and stack.shape[1] == n_var:
-        seeds = _edge_and_nodata_adjacent(base.valid_mask)
-        step = max(1, _SLICE_CELLS // base.values.size)
-        scores = []
-        for start in range(0, len(stack), step):
-            part = stack[start : start + step]
-            scored = _evaluate_stack(base, part, seeds, hp, cp)
-            if scored is None:
-                # a plan of this slice fails: the one-plan path raises its error
-                scored = [_evaluate_grids(base, plan, hp, cp) for plan in part]
-            scores += scored
-    else:
-        # a plan of the wrong length, or a base without valid cells: the
-        # first plan raises the error of apply_plan or of the fill
-        scores = [_evaluate_grids(base, plan, hp, cp) for plan in stack]
+    step = max(1, _SLICE_CELLS // base.values.size)
+    scores = []
+    for start in range(0, len(stack), step):
+        part = stack[start : start + step]
+        scored = _evaluate_stack(base, part, hp, cp)
+        if scored is None:
+            scored = [_evaluate_grids(base, plan, hp, cp) for plan in part]
+        scores += scored
     return scores[0] if one else scores
 
 
-def _evaluate_stack(base, plans, seeds, hp, cp) -> list[ObjectiveVector] | None:
-    """Objectives of a (B, n_var) stack of plans, or None if any plan fails."""
+def _evaluate_stack(base, plans, hp, cp) -> list[ObjectiveVector] | None:
+    """Objectives of a (B, n_var) stack of plans, or None if any plan fails
+    or the stack does not fit the base (wrong shape, or no valid cells)."""
     valid = base.valid_mask
+    if plans.ndim != 2 or plans.shape[1] != base.n_valid or not base.n_valid:
+        return None
     z = _applied(base, plans)
+    # the fill never converges on a NaN elevation, so this gate must come first
     if not np.isfinite(z).all():
         return None
-    filled = _fill(z, valid, seeds, float(hp.fill_epsilon))
+    filled = _fill(z, valid, _edge_and_nodata_adjacent(valid), float(hp.fill_epsilon))
     del z
     acc = _accumulate(_downstream_indices(_d8_codes(filled, valid, base.cell_size)))
     acc = acc.reshape(filled.shape)
     path_cells = _flow_path(acc, valid, hp.accumulation_threshold_fraction)[0].sum(axis=(1, 2))
     s = _horn_slope(filled, valid, base.cell_size)
-    if not np.isfinite(s[:, valid]).all():
-        return None
     v = _manning_velocity(s, acc, valid, hp, cp.cell_area)
-    if not np.isfinite(v[:, valid]).all():
+    if not (np.isfinite(s[:, valid]).all() and np.isfinite(v[:, valid]).all()):
         return None
     return [
         ObjectiveVector(int(n), float(v_max), earthwork_cost(plan, cp))

@@ -154,13 +154,9 @@ class Grid:
         if not isinstance(other, Grid):
             return NotImplemented
         return (
-            self.shape == other.shape
-            and self.cell_size == other.cell_size
-            and self.x_ll == other.x_ll
-            and self.y_ll == other.y_ll
+            self.congruent(other)
             and self.nodata_sentinel == other.nodata_sentinel
             and np.array_equal(self.values, other.values)
-            and np.array_equal(self.valid_mask, other.valid_mask)
         )
 
     def __repr__(self) -> str:

@@ -674,10 +674,11 @@ class TestNonFiniteSettings:
 
 
 def test_cli_import_leaves_scipy_ndimage_unloaded():
-    # scipy.ndimage is slow to import and only synthetic_dem needs it; the
-    # process pool's modules are imported only when run_nsga2 starts one
+    # numpy is the only runtime dependency: since ba56dc9 no module of the
+    # package imports scipy, which only the tests use; the process pool's
+    # modules are imported only when run_nsga2 starts one
     src = str(Path(terrainopt.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    lazy = ("scipy.ndimage", "concurrent.futures", "multiprocessing")
+    lazy = ("scipy", "concurrent.futures", "multiprocessing")
     probe = f"import sys, terrainopt.cli; sys.exit(any(m in sys.modules for m in {lazy}))"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

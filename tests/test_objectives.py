@@ -376,6 +376,40 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="grid values must be finite"):
                 evaluate(plane, np.zeros(25), HP, CostParams(cell_area=1e-4))
 
+    def test_velocity_with_factors_past_the_float_range(self):
+        # 1e150 m per 1 m cell: sqrt(S)/n overflows to inf while Q/B underflows
+        # to 0, yet V = [sqrt(S)/n * (Q/B)^(2/3)]^(3/5) is about 1e-15 m/s
+        plane = Grid(np.tile(1e150 * (4.0 - np.arange(5.0)), (5, 1)), 1.0)
+        hp = HydroParams(manning_n=1e-300, rain_intensity=1e-300, channel_width=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = evaluate(plane, np.zeros(25), hp, CostParams(cell_area=1.0))
+        acc = flow_accumulation(flow_directions(fill_depressions(plane, hp.fill_epsilon)))
+        log_v = [
+            0.6 * (0.5 * math.log(s) - math.log(hp.manning_n)
+                   + (math.log(a + 1.0) + math.log(hp.rain_intensity)
+                      - math.log(hp.channel_width)) * (2.0 / 3.0))
+            for s, a in zip(slope(plane).values.flat, acc.values.flat)
+        ]
+        assert result.v_max == pytest.approx(math.exp(max(log_v)), rel=1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_non_finite_plan_raises_from_apply_plan(self, value, stacked):
+        # the elevation check must come before the fill, which never
+        # converges on a NaN elevation
+        base = synthetic_dem(12, 12, seed=3)
+        per_slice = _SLICE_CELLS // base.values.size
+        plans = np.zeros((2 * per_slice + 3, plan_length(base)))
+        k = per_slice + 5
+        plans[k, 7] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid values must be finite") as excinfo:
+                evaluate(base, plans if stacked else plans[k], HP, CP)
+        frames = {entry.name: entry for entry in excinfo.traceback}
+        assert np.array_equal(frames["apply_plan"].locals["deltas"], plans[k], equal_nan=True)
+
     def test_length_mismatch_propagates(self, east_plane):
         with pytest.raises(ValueError, match="plan length"):
             evaluate(east_plane, np.zeros(4), HP, CP)
