@@ -210,6 +210,11 @@ def _fill(z, valid, seeds, epsilon):
     and lowering from inf stays above every fixed point and stops only at
     one. Passes number at most the flood tree's depth plus one: a few on
     rough terrain, about one per turn of a spiralling drainage path.
+
+    It ends on any input, as a pass that lowers no cell is the last. A +inf
+    elevation stays inf, an interior -inf fills to a finite spill level,
+    and a NaN, which never compares lower, ends the fill with NaN that
+    spreads over its plane and may reach the other planes of the stack.
     """
     b, h, w = z.shape
     z_buffers, z_views = _sweep_buffers(b, h, w)
@@ -228,7 +233,7 @@ def _fill(z, valid, seeds, epsilon):
             for sweep in sweeps:
                 sweep()
             swept = reduce(np.minimum, water_views)
-            if np.array_equal(swept, filled):
+            if not (swept < filled).any():
                 break
             filled = swept
     # the flood keeps z where its floor only ties it, so a -0.0 stays -0.0
@@ -411,14 +416,13 @@ def extract_flow_path(acc: Grid, fraction: float) -> tuple[np.ndarray, int]:
 
 
 def _horn_slope(z: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
-    """Horn slope of elevations ``z`` (see :func:`slope`); NaN at nodata cells.
+    """Horn slope of elevations ``z`` (see :func:`slope`); values at nodata cells carry no meaning.
 
     A valid cell is non-finite only where the gradient lies past the float
     range.
     """
-    # grid values are finite, so NaN marks exactly the missing cells
-    z = np.where(valid, z, np.nan)
-    nb = [np.where(np.isnan(v), z, v) for v in _neighbors(_pad(z, np.nan))]
+    missing = _neighbors(_pad(~valid, True))
+    nb = [np.where(out, z, v) for out, v in zip(missing, _neighbors(_pad(z, 0.0)))]
     e, se, s, sw, w_, nw, n_, ne = nb
     denom = 8.0 * cell_size
     with np.errstate(over="ignore", invalid="ignore"):
@@ -442,10 +446,10 @@ def _horn_slope(z: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarra
 def slope(dem: Grid) -> Grid:
     """Horn 3x3 slope as a dimensionless rise/run fraction.
 
-    Missing window neighbors (outside the grid or nodata) are replaced by
-    the center cell's value, which zeroes their contribution to the
-    gradient. A gradient past the float range raises ``ValueError: grid
-    values must be finite``.
+    Missing window neighbors (outside the grid, or nodata by the valid
+    mask) are replaced by the center cell's value, which zeroes their
+    contribution to the gradient. A gradient past the float range raises
+    ``ValueError: grid values must be finite``.
     """
     return dem.with_values(_horn_slope(dem.values, dem.valid_mask, dem.cell_size))
 
@@ -455,29 +459,24 @@ def _manning_velocity(
 ) -> np.ndarray:
     """Runoff velocity from slope ``s`` and accumulation ``acc`` (see :func:`runoff_velocity`)."""
     s = np.where(valid, s, 0.0)
-    if params.slope_as_percent:
-        with np.errstate(over="ignore"):
-            root = np.sqrt(s * 100.0)
-        # a slope past ~1.8e306 overflows as a percentage; its root does not
-        over = np.isinf(root)
-        root[over] = 10.0 * np.sqrt(s[over])
-    else:
-        root = np.sqrt(s)
     with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(s * 100.0 if params.slope_as_percent else s)
         q = (np.where(valid, acc, 0.0) + 1.0) * params.rain_intensity * cell_area
         flowing = (s > 0) & (q > 0)
         core = np.zeros_like(s)
         np.divide(q, params.channel_width, out=core, where=flowing)
         core = np.where(flowing, (root / params.manning_n) * core ** (2.0 / 3.0), 0.0)
     v = np.where(flowing, core ** 0.6, 0.0)
-    # a factor past the float range makes v inf, or NaN where it meets one that
-    # underflowed to 0; there, take v from logs, which is inf only where v
-    # itself lies past the float range
+    # a factor past the float range (a percent slope past ~1.8e306 included)
+    # makes v inf, or NaN where it meets one that underflowed to 0; there,
+    # take v from logs, which is inf only where v itself lies past the float
+    # range
     redo = flowing & ~np.isfinite(v)
     if redo.any():
+        log_root = np.log(np.sqrt(s[redo])) + (math.log(10.0) if params.slope_as_percent else 0.0)
         log_q = np.log(acc[redo] + 1.0) + math.log(params.rain_intensity) + math.log(cell_area)
         log_core = (
-            np.log(root[redo]) - math.log(params.manning_n)
+            log_root - math.log(params.manning_n)
             + (log_q - math.log(params.channel_width)) * (2.0 / 3.0)
         )
         with np.errstate(over="ignore"):
@@ -493,7 +492,8 @@ def runoff_velocity(slope_grid: Grid, acc: Grid, params: HydroParams, cell_area:
     never has zero discharge. Velocity is exactly 0 where the slope or
     the discharge is 0. A velocity past the float range raises
     ``ValueError: grid values must be finite``; a discharge or factor past
-    it does not, where the velocity itself is finite.
+    it does not, where the velocity itself is finite. Such a factor, a
+    percent slope past ~1.8e306 included, is taken through logarithms.
     """
     if not slope_grid.congruent(acc):
         raise ValueError("slope and accumulation grids are not congruent")

@@ -121,14 +121,9 @@ def apply_plan(base: Grid, deltas: np.ndarray) -> Grid:
 
 def plan_to_grid(base: Grid, deltas: np.ndarray) -> Grid:
     """Render a plan as a delta raster congruent with the base grid."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.shape != (base.n_valid,):
-        raise ValueError(
-            f"plan length {deltas.shape} does not match {base.n_valid} valid cells"
-        )
-    values = np.zeros(base.shape)
-    values[base.valid_mask] = deltas
-    return base.with_values(values)
+    # the plan applied to a surface of -0.0, the one value that adds to every
+    # float exactly, so each valid cell holds its delta bit for bit
+    return apply_plan(base.with_values(np.full(base.shape, -0.0)), deltas)
 
 
 def grid_to_plan(base: Grid, delta_grid: Grid) -> np.ndarray:
@@ -210,7 +205,9 @@ def _evaluate_stack(base, plans, hp, cp) -> list[ObjectiveVector] | None:
     if plans.ndim != 2 or plans.shape[1] != base.n_valid or not base.n_valid:
         return None
     z = _applied(base, plans)
-    # the fill never converges on a NaN elevation, so this gate must come first
+    # gate before the fill: it raises an interior -inf elevation to a finite
+    # spill level, so such a plan would fail only in earthwork_cost
+    # (OverflowError) instead of in apply_plan (ValueError)
     if not np.isfinite(z).all():
         return None
     filled = _fill(z, valid, _edge_and_nodata_adjacent(valid), float(hp.fill_epsilon))

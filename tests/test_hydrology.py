@@ -445,6 +445,26 @@ class TestStackedKernels:
                     ).reshape(shape)
                     assert filled[k][valid].tobytes() == ref[valid].tobytes(), (trial, k)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", [(5, 5), (17, 11), (40, 40)])
+    @pytest.mark.parametrize("where", ["edge", "interior"])
+    def test_fill_ends_on_non_finite_elevations(self, value, shape, where):
+        # 17x11 takes the two-buffer layout of non-square grids
+        z = synthetic_dem(*shape, seed=1).values[None].copy()
+        cell = (0, 2) if where == "edge" else (shape[0] // 2, shape[1] // 2)
+        z[0][cell] = value
+        valid = np.ones(shape, dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filled = _fill(z, valid, exit_cells(valid), 1e-5)
+        if value == -math.inf and where == "interior":
+            # a pit of any depth fills to its spill level
+            assert np.isfinite(filled).all()
+        else:
+            # NaN and +inf stay non-finite, and an edge cell is a seed, so it
+            # keeps -inf
+            assert not np.isfinite(filled[0][cell])
+
     @pytest.mark.parametrize("b", [2, 3, 5])
     @pytest.mark.parametrize("shape", STACK_SHAPES)
     def test_d8_matches_exact_oracle_per_plane(self, b, shape):

@@ -247,9 +247,10 @@ class TestPlanRasterRoundtrip:
     def test_roundtrip(self, masked_base):
         rng = np.random.default_rng(6)
         deltas = rng.uniform(-2, 2, size=plan_length(masked_base))
+        deltas[:2] = 0.0, -0.0
         raster = plan_to_grid(masked_base, deltas)
         assert raster.congruent(masked_base)
-        assert np.array_equal(grid_to_plan(masked_base, raster), deltas)
+        assert grid_to_plan(masked_base, raster).tobytes() == deltas.tobytes()
 
     def test_deltas_only_on_valid_cells(self, masked_base):
         raster = plan_to_grid(masked_base, np.ones(plan_length(masked_base)))
@@ -395,14 +396,18 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
-    def test_non_finite_plan_raises_from_apply_plan(self, value, stacked):
-        # the elevation check must come before the fill, which never
-        # converges on a NaN elevation
+    @pytest.mark.parametrize("cell", [7, 65], ids=["edge", "interior"])
+    def test_non_finite_plan_raises_from_apply_plan(self, value, stacked, cell):
+        # the elevation check must come before the fill, which raises an
+        # interior -inf elevation, here at (5, 5), to a finite spill level;
+        # only earthwork_cost would then fail, with OverflowError; (0, 7) is
+        # a fill seed and keeps its value
         base = synthetic_dem(12, 12, seed=3)
+        assert base.n_valid == base.values.size
         per_slice = _SLICE_CELLS // base.values.size
         plans = np.zeros((2 * per_slice + 3, plan_length(base)))
         k = per_slice + 5
-        plans[k, 7] = value
+        plans[k, cell] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="grid values must be finite") as excinfo:
