@@ -11,14 +11,28 @@ PCG64 stream for initialization plus one per generation, so runs are
 bit-reproducible regardless of how offspring evaluation is scheduled.
 
 Selection and variation run in the calling process; only the scoring of
-each batch of plans fans out, over every CPU the process may run on (see
-:func:`run_nsga2`). A batch is drawn chunk by chunk, each chunk one
-(k, n_var) array: the pairs' tournaments and random draws are taken one
-pair at a time in a fixed order, and SBX and mutation then run once over
-the whole chunk. Worker processes score the first chunks, each sent down a
-pipe as soon as it is drawn; the calling process draws and scores the
-last chunk meanwhile, and joins the scores back in plan order. No helper
-thread runs.
+each batch of plans fans out, over every CPU the process may run on, but
+to no more processes than the largest batch has SBX pairs (see
+:func:`run_nsga2`). The chunk rule: whole pairs go in, and scores or
+None come out.
+
+- A batch is cut into one contiguous chunk per process on pair
+  boundaries, so every chunk but the last has even length; an odd
+  batch's last pair gives only its first child.
+- Each chunk is drawn as one (k, n_var) array, in plan order. Generation
+  0 hands out row blocks of one uniform draw. An offspring chunk takes
+  its pairs' tournaments and random draws one pair at a time, in the
+  order of a pair-by-pair loop, then runs SBX and mutation once over the
+  chunk, so the children do not depend on the cuts.
+- Worker processes score the first chunks, each sent down a pipe as
+  soon as it is drawn; the calling process draws and scores the last
+  chunk meanwhile. No helper thread runs.
+- A chunk whose scoring raised, in any process, comes back as None, and
+  is scored again in the calling process once every reply is read,
+  walking the chunks in plan order. Scoring is pure, so the first
+  failing chunk raises its own error, with the type and message of a
+  serial run. A worker that dies raises a RuntimeError naming its exit
+  code.
 
 Objective vectors are handled in the all-minimize sense (see
 :meth:`~terrainopt.objectives.ObjectiveVector.as_min_array`); history
@@ -28,7 +42,6 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -380,30 +393,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _RemoteTraceback(Exception):
-    """A scoring worker's formatted traceback, set as the cause of the error it raised."""
+def _scores_or_none(
+    base: Grid, plans: np.ndarray, hp: HydroParams, cp: CostParams
+) -> Optional[list[ObjectiveVector]]:
+    """The objectives of one chunk of plans in plan order, or None if scoring it raises.
 
-    def __str__(self):
-        return self.args[0]
+    The error is dropped here: :func:`_score` scores a failed chunk again
+    in the calling process, which raises it there.
+    """
+    try:
+        return evaluate(base, plans, hp, cp)
+    except Exception:
+        return None
 
 
 def _serve(conn, base: Grid, hp: HydroParams, cp: CostParams) -> None:
     """Body of a scoring worker: answer each chunk of plans that arrives on ``conn``.
 
-    A chunk is one (k, n_var) array. The answer is the chunk's objectives
-    in plan order, or its first failing plan's error with the formatted
-    traceback. Returns when the other end is closed.
+    The answer is :func:`_scores_or_none` of the chunk. Returns when the
+    other end is closed.
     """
     while True:
         try:
             plans = conn.recv()
         except EOFError:
             return
-        try:
-            reply = evaluate(base, plans, hp, cp)
-        except Exception as exc:
-            reply = (exc, traceback.format_exc())
-        conn.send(reply)
+        conn.send(_scores_or_none(base, plans, hp, cp))
 
 
 class _Worker:
@@ -431,16 +446,11 @@ class _Worker:
             raise self._lost() from None
 
     def receive(self):
-        """The objectives of the chunk last sent, or its error with the remote cause."""
+        """The worker's answer to the chunk last sent (see :func:`_serve`)."""
         try:
-            reply = self.conn.recv()
+            return self.conn.recv()
         except (EOFError, ConnectionError):
             raise self._lost() from None
-        if isinstance(reply, tuple):
-            error, text = reply
-            error.__cause__ = _RemoteTraceback(f'\n"""\n{text}"""')
-            return error
-        return reply
 
     def stop(self) -> None:
         # a worker holds nothing but the problem, and may be mid-chunk after an error
@@ -450,109 +460,71 @@ class _Worker:
 
 
 def _score(
-    draw: Callable[[int], np.ndarray], size: int, base, hp, cp, workers: list[_Worker]
+    draw: Callable[[int, int], np.ndarray], size: int, base, hp, cp, workers: list[_Worker]
 ) -> tuple[list[np.ndarray], list[ObjectiveVector]]:
-    """Draw ``size`` plans and score them over ``min(len(workers) + 1, size)`` processes.
+    """Draw ``size`` plans and score them as the module docstring's chunk rule says.
 
-    The batch is cut into that many contiguous chunks; ``draw(k)`` gives
-    the next chunk as one (k, n_var) array, and one ``evaluate`` call
-    scores it as a stack. Chunk k is sent to ``workers[k]`` as soon as it
-    is drawn; this process then draws and scores the last chunk while the
-    workers score theirs. Once every reply is read, the first failing
-    chunk's error is raised, so it is the one a serial loop would raise.
-    Returns the plans, each an array of its own, and their objectives,
-    both in plan order.
+    ``draw(a, b)`` gives plans ``a`` to ``b`` of the batch as one (b - a,
+    n_var) array, and is called once per chunk in plan order. Returns the
+    plans, each an array of its own, and their objectives, both in plan
+    order.
     """
-    busy = workers[: size - 1]
-    cuts = [size * k // (len(busy) + 1) for k in range(len(busy) + 2)]
+    pairs = (size + 1) // 2
+    busy = workers[: pairs - 1]
+    cuts = [2 * (pairs * k // (len(busy) + 1)) for k in range(len(busy) + 1)] + [size]
     chunks = []
     for worker, a, b in zip(busy, cuts, cuts[1:]):
-        chunks.append(draw(b - a))
+        chunks.append(draw(a, b))
         worker.send(chunks[-1])
-    chunks.append(draw(size - cuts[-2]))
-    try:
-        own = evaluate(base, chunks[-1], hp, cp)
-    except Exception as exc:
-        own = exc
+    chunks.append(draw(cuts[-2], size))
+    own = _scores_or_none(base, chunks[-1], hp, cp)
     replies = [worker.receive() for worker in busy] + [own]
-    for reply in replies:
-        if isinstance(reply, Exception):
-            raise reply
+    scores = []
+    for chunk, reply in zip(chunks, replies):
+        # evaluate is pure, so a failed chunk raises here as it did where it was scored
+        scores += evaluate(base, chunk, hp, cp) if reply is None else reply
     # a copy per plan, so that survivors do not keep their whole chunk alive
     plans = [row.copy() for chunk in chunks for row in chunk]
-    return plans, [scores for reply in replies for scores in reply]
-
-
-def _blocks(plans: np.ndarray) -> Callable[[int], np.ndarray]:
-    """A drawer handing out consecutive row blocks of ``plans``."""
-    start = 0
-
-    def draw(k: int) -> np.ndarray:
-        nonlocal start
-        start += k
-        return plans[start - k : start]
-
-    return draw
+    return plans, scores
 
 
 def _offspring(
-    population: list[Individual], cfg: OptimizerConfig, rng: np.random.Generator
-) -> Callable[[int], np.ndarray]:
-    """A drawer of offspring by tournament, SBX and mutation, one (k, n_var) chunk a call.
+    population: list[Individual], k: int, cfg: OptimizerConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """``k`` offspring by tournament, SBX and mutation, as one (k, n_var) array.
 
     Each pair takes its draws from ``rng`` in the order of
     :func:`sbx_crossover` and :func:`polynomial_mutation` called pair by
     pair: two tournaments, the crossover coin, the crossed and spread
     draws of a pair that crosses, then each child's mutation draws. Only
-    the arithmetic is batched, one :func:`_sbx` over the chunk's pairs and
-    one :func:`_mutate` over its children, so the children do not depend
-    on how the batch is cut. A pair split by a chunk boundary leaves its
-    second child unmutated until the next call, which draws its mutation
-    first.
+    the arithmetic is batched, one :func:`_sbx` over the pairs and one
+    :func:`_mutate` over the children. With ``k`` odd, the last pair's
+    second child is dropped, and its mutation is not drawn.
     """
     n_var = population[0].plan.shape[0]
-    carried: Optional[np.ndarray] = None
-
-    def draw(k: int) -> np.ndarray:
-        nonlocal carried
-        children = np.empty((k, n_var))
-        mutate_draw = np.empty((k, n_var))
-        u = np.empty((k, n_var))
-        i = 0
-        if carried is not None and k:
-            children[0] = carried
-            rng.random(out=mutate_draw[0])
-            rng.random(out=u[0])
-            carried = None
-            i = 1
-        pairs = (k - i + 1) // 2
-        first, second = np.empty((2, pairs, n_var))
-        crossed_draw = np.empty((pairs, n_var))
-        spread = np.empty((pairs, n_var))
-        crosses = []
-        for p in range(pairs):
-            first[p] = tournament_select(population, rng).plan
-            second[p] = tournament_select(population, rng).plan
-            if rng.random() < cfg.crossover_probability:
-                rng.random(out=crossed_draw[len(crosses)])
-                rng.random(out=spread[len(crosses)])
-                crosses.append(p)
-            # the pair's children that fall in this chunk
-            for row in range(i + 2 * p, min(i + 2 * p + 2, k)):
-                rng.random(out=mutate_draw[row])
-                rng.random(out=u[row])
-        if crosses:
-            m = len(crosses)
-            first[crosses], second[crosses] = _sbx(
-                first[crosses], second[crosses], crossed_draw[:m], spread[:m], cfg
-            )
-        children[i::2] = first
-        children[i + 1 :: 2] = second[: (k - i) // 2]
-        if (k - i) % 2:
-            carried = second[-1]
-        return _mutate(children, mutate_draw, u, cfg)
-
-    return draw
+    pairs = (k + 1) // 2
+    parents = np.empty((pairs, 2, n_var))
+    crossed_draw = np.empty((pairs, n_var))
+    spread = np.empty((pairs, n_var))
+    mutate_draw = np.empty((k, n_var))
+    u = np.empty((k, n_var))
+    crosses = []
+    for p in range(pairs):
+        parents[p, 0] = tournament_select(population, rng).plan
+        parents[p, 1] = tournament_select(population, rng).plan
+        if rng.random() < cfg.crossover_probability:
+            rng.random(out=crossed_draw[len(crosses)])
+            rng.random(out=spread[len(crosses)])
+            crosses.append(p)
+        for row in range(2 * p, min(2 * p + 2, k)):
+            rng.random(out=mutate_draw[row])
+            rng.random(out=u[row])
+    if crosses:
+        m = len(crosses)
+        parents[crosses, 0], parents[crosses, 1] = _sbx(
+            parents[crosses, 0], parents[crosses, 1], crossed_draw[:m], spread[:m], cfg
+        )
+    return _mutate(parents.reshape(2 * pairs, n_var)[:k], mutate_draw, u, cfg)
 
 
 def run_nsga2(
@@ -573,21 +545,17 @@ def run_nsga2(
     plans, and calls ``on_generation`` (if given) with the rank-0 front
     and its stats.
 
-    Each batch of new plans is scored on ``min(usable CPUs, batch size)``
-    processes: this one plus workers that receive the problem once, when
-    they start. The batch is cut into contiguous chunks and drawn one
-    chunk at a time, as one (k, n_var) array: generation 0 hands out row
-    blocks of its uniform draw, and later generations batch SBX and
-    mutation over each chunk's children while taking every random draw in
-    the order of a pair-by-pair loop. The workers score the first chunks,
-    each sent to its worker as soon as it is drawn, and this process draws
-    and scores the last one meanwhile. No helper thread runs. Results do
-    not depend on the count; with one usable CPU no process is started.
+    Each batch of new plans is scored on ``min(usable CPUs, pairs in the
+    largest batch)`` processes: this one plus workers that receive the
+    problem once, when they start, and that stop when the run ends or
+    fails. How a batch is cut, drawn and scored, and how a failure is
+    raised, is the chunk rule of the module docstring. Results do not
+    depend on the count; with one usable CPU no process is started.
     """
     n_var = plan_length(base)
     streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.generations + 1)
     largest = max(cfg.population_size, cfg.offspring_size if cfg.generations else 0)
-    processes = min(_usable_cpus(), largest)
+    processes = min(_usable_cpus(), (largest + 1) // 2)
     workers: list[_Worker] = []
     population: list[Individual] = []
     history: list[GenerationStats] = []
@@ -599,13 +567,13 @@ def run_nsga2(
             rng = np.random.default_rng(streams[generation])
             if generation == 0:
                 size = cfg.population_size
-                plans = rng.uniform(cfg.lower_bound, cfg.upper_bound, size=(size, n_var))
+                initial = rng.uniform(cfg.lower_bound, cfg.upper_bound, size=(size, n_var))
                 if cfg.seed_with_zero_plan:
-                    plans[0] = 0.0
-                draw = _blocks(plans)
+                    initial[0] = 0.0
+                draw = lambda a, b: initial[a:b]
             else:
                 size = cfg.offspring_size
-                draw = _offspring(population, cfg, rng)
+                draw = lambda a, b: _offspring(population, b - a, cfg, rng)
             plans, scores = _score(draw, size, base, hp, cp, workers)
             newborn = [Individual(p, s, born=generation) for p, s in zip(plans, scores)]
             population = _select_survivors(population + newborn, cfg.population_size)

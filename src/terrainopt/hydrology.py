@@ -172,8 +172,11 @@ def _sweep_down(water: np.ndarray, z: np.ndarray, epsilon: float):
     above) + epsilon)``. Both buffers are laid out as :func:`_sweep_buffers` makes them, and
     each row is swept as one flat run over all planes. A pad column holds
     inf in ``z`` too, so it computes ``max(inf, ...)``, stays inf, and
-    keeps each plane's water apart from the next. The views of each run
-    are cut here once, and every pass of the fill reuses them.
+    keeps each plane's water apart from the next. The new level is taken
+    with ``fmin``, which skips a NaN, so a NaN next to a pad leaves it inf;
+    its argument order keeps ``np.minimum``'s choice on ties, so signed
+    zeros keep their bits. The views of each run are cut here once, and
+    every pass of the fill reuses them.
     """
     water = water.reshape(water.shape[0], -1)
     z = z.reshape(water.shape)
@@ -189,7 +192,7 @@ def _sweep_down(water: np.ndarray, z: np.ndarray, epsilon: float):
             np.minimum(lowest, right, out=lowest)
             np.add(lowest, epsilon, out=lowest)
             np.maximum(z_row, lowest, out=lowest)
-            np.minimum(row, lowest, out=row)
+            np.fmin(lowest, row, out=row)
 
     return sweep
 
@@ -212,9 +215,11 @@ def _fill(z, valid, seeds, epsilon):
     rough terrain, about one per turn of a spiralling drainage path.
 
     It ends on any input, as a pass that lowers no cell is the last. A +inf
-    elevation stays inf, an interior -inf fills to a finite spill level,
-    and a NaN, which never compares lower, ends the fill with NaN that
-    spreads over its plane and may reach the other planes of the stack.
+    elevation stays inf, and an interior -inf fills to a finite spill
+    level. A NaN elevation leaves its cell non-finite, NaN at a seed and
+    inf elsewhere; the sweeps skip the NaN levels it yields, so no other
+    cell of its plane takes NaN, and every other plane of the stack fills
+    as if alone.
     """
     b, h, w = z.shape
     z_buffers, z_views = _sweep_buffers(b, h, w)

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import threading
 import time
+import traceback
 from dataclasses import replace
 from itertools import islice
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from terrainopt import (
     CostParams,
     Grid,
+    GridFormatError,
     HydroParams,
     Individual,
     ObjectiveVector,
@@ -348,11 +350,12 @@ class TestOffspringChunks:
             Individual(plan, ObjectiveVector(1, 1.0, 1.0), rank=rank, crowding=float(rank))
             for plan, rank in zip(plans, ranks)
         ]
-        cuts = sorted(min(c, size) for c in cuts)  # repeated cuts give empty chunks
+        # cuts fall on pair boundaries, so an odd batch's last pair is in the
+        # last chunk; repeated cuts give empty chunks
+        cuts = sorted(min(c, size) // 2 * 2 for c in cuts)
         sizes = [b - a for a, b in zip([0, *cuts], [*cuts, size])]
         ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        draw = evolve._offspring(population, cfg, ours)
-        chunks = [draw(k) for k in sizes]
+        chunks = [evolve._offspring(population, k, cfg, ours) for k in sizes]
         assert [chunk.shape for chunk in chunks] == [(k, n_var) for k in sizes]
         want = np.array(list(islice(serial_children(population, cfg, theirs), size)))
         assert np.concatenate(chunks).tobytes() == want.tobytes()
@@ -513,10 +516,14 @@ class TestParallelScoring:
         assert all(m.plan.base is None for m in archive.members)
 
     def test_process_count_capped_by_largest_batch(self, monkeypatch):
-        cfg = OptimizerConfig(population_size=2, offspring_size=1, generations=2, rng_seed=5)
-        archive = self.run_on(monkeypatch, 3, cfg=cfg)
-        assert archive.processes == 2
-        assert multiprocessing.active_children() == []
+        # one process per SBX pair of the largest batch at most
+        for population, offspring, processes in [(2, 1, 1), (3, 1, 2), (2, 4, 2)]:
+            cfg = OptimizerConfig(
+                population_size=population, offspring_size=offspring, generations=2, rng_seed=5
+            )
+            archive = self.run_on(monkeypatch, 3, cfg=cfg)
+            assert archive.processes == processes
+            assert multiprocessing.active_children() == []
 
     def test_usable_cpus_reads_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(evolve.os, "sched_getaffinity", lambda pid: {3}, raising=False)
@@ -532,21 +539,20 @@ class TestParallelScoring:
         lower_bound=0.0, upper_bound=1.75e308,
     )
 
-    def test_worker_exception_reaches_caller(self, monkeypatch):
-        # without the zero plan both plans overflow; the worker scores chunk 0,
-        # so its error is the one a serial loop would raise
-        cfg = replace(self.OVERFLOW_CFG, seed_with_zero_plan=False)
-        with pytest.raises(ValueError, match="grid values must be finite") as excinfo:
-            self.run_on(monkeypatch, 2, self.OVERFLOW_BASE, cfg)
-        cause = excinfo.value.__cause__
-        assert type(cause).__name__ == "_RemoteTraceback"
-        assert "Traceback (most recent call last)" in str(cause)
-        assert "in _serve" in str(cause) and "in apply_plan" in str(cause)
-        assert multiprocessing.active_children() == []
+    def fail_after_zero_plan_chunk(self, monkeypatch):
+        """Make every chunk not led by the zero plan raise, and record the workers' replies.
 
-    def test_error_of_this_process_raised_after_every_worker_reply(self, monkeypatch):
-        # the worker scores the zero plan (chunk 0); the random plan, scored
-        # here, overflows
+        The zero plan's chunk gets the real evaluate in every process:
+        through this patch under fork, and unpatched under the other start
+        methods, whose workers import evolve afresh.
+        """
+        evaluate = evolve.evaluate
+
+        def evaluate_or_fail(base, plans, hp, cp):
+            if plans[0].any():
+                raise ValueError("a later chunk failed")
+            return evaluate(base, plans, hp, cp)
+
         replies = []
         receive = evolve._Worker.receive
 
@@ -554,11 +560,55 @@ class TestParallelScoring:
             replies.append(receive(worker))
             return replies[-1]
 
+        monkeypatch.setattr(evolve, "evaluate", evaluate_or_fail)
         monkeypatch.setattr(evolve._Worker, "receive", record)
-        with pytest.raises(ValueError, match="grid values must be finite") as excinfo:
-            self.run_on(monkeypatch, 2, self.OVERFLOW_BASE, self.OVERFLOW_CFG)
+        return replies
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        # without the zero plan all four plans overflow; the worker's chunk
+        # comes first, and is scored again here to raise its error
+        cfg = replace(self.OVERFLOW_CFG, population_size=4, seed_with_zero_plan=False)
+        with pytest.raises(ValueError) as serial:
+            self.run_on(monkeypatch, 1, self.OVERFLOW_BASE, cfg)
+        with pytest.raises(ValueError) as excinfo:
+            self.run_on(monkeypatch, 2, self.OVERFLOW_BASE, cfg)
+        assert type(excinfo.value) is type(serial.value)
+        assert str(excinfo.value) == str(serial.value) == "grid values must be finite"
         assert excinfo.value.__cause__ is None
-        assert len(replies) == 1 and replies[0][0].cost == 0.0
+        assert "apply_plan" in [frame.name for frame in traceback.extract_tb(excinfo.tb)]
+        assert multiprocessing.active_children() == []
+
+    def test_error_of_this_process_raised_after_every_worker_reply(self, monkeypatch):
+        # the worker scores the zero plan's 2-plan chunk; the last chunk,
+        # scored here, fails
+        replies = self.fail_after_zero_plan_chunk(monkeypatch)
+        cfg = replace(self.CFG, population_size=4)
+        with pytest.raises(ValueError, match="a later chunk failed") as excinfo:
+            self.run_on(monkeypatch, 2, cfg=cfg)
+        assert excinfo.value.__cause__ is None
+        assert len(replies) == 1 and len(replies[0]) == 2 and replies[0][0].cost == 0.0
+        assert multiprocessing.active_children() == []
+
+    def test_failing_worker_chunk_raised_before_this_process_chunk(self, monkeypatch):
+        # the worker's chunk, the zero plan and an overflowing plan, comes
+        # first in plan order, so its error wins over the last chunk's
+        replies = self.fail_after_zero_plan_chunk(monkeypatch)
+        cfg = replace(self.OVERFLOW_CFG, population_size=4)
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            self.run_on(monkeypatch, 2, self.OVERFLOW_BASE, cfg)
+        assert replies == [None]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_of_class_with_own_init_keeps_its_type(self, monkeypatch):
+        # GridFormatError's __init__ takes three arguments, so an instance
+        # pickled from a worker would not unpickle
+        def evaluate_fails(base, plans, hp, cp):
+            raise GridFormatError("boom", 1, 2)
+
+        monkeypatch.setattr(evolve, "evaluate", evaluate_fails)
+        with pytest.raises(GridFormatError, match="line 1, column 2: boom") as excinfo:
+            self.run_on(monkeypatch, 2)
+        assert (excinfo.value.line, excinfo.value.column) == (1, 2)
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_raises_with_its_exit_code(self, monkeypatch):

@@ -465,6 +465,30 @@ class TestStackedKernels:
             # keeps -inf
             assert not np.isfinite(filled[0][cell])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", [(17, 11), (40, 40)])
+    @pytest.mark.parametrize("where", ["edge", "interior"])
+    def test_fill_keeps_non_finite_elevations_in_their_plane(self, value, shape, where):
+        # the water buffers put each row of every plane in one run, between
+        # inf pad columns that must keep the planes apart
+        z = np.repeat(synthetic_dem(*shape, seed=1).values[None], 3, axis=0)
+        cell = (0, 2) if where == "edge" else (shape[0] // 2, shape[1] // 2)
+        z[1][cell] = value
+        valid = np.ones(shape, dtype=bool)
+        seeds = exit_cells(valid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filled = _fill(z, valid, seeds, 1e-5)
+            for k in range(3):
+                alone = _fill(z[k : k + 1], valid, seeds, 1e-5)[0]
+                assert filled[k].tobytes() == alone.tobytes(), k
+        finite = np.isfinite(filled)
+        assert finite[[0, 2]].all()
+        if value == -math.inf and where == "interior":
+            assert finite[1].all()
+        else:
+            assert np.flatnonzero(~finite[1]).tolist() == [np.ravel_multi_index(cell, shape)]
+
     @pytest.mark.parametrize("b", [2, 3, 5])
     @pytest.mark.parametrize("shape", STACK_SHAPES)
     def test_d8_matches_exact_oracle_per_plane(self, b, shape):
