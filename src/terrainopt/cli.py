@@ -11,7 +11,14 @@ contains a ``manifest.txt`` in the same flat format, echoing the
 resolved configuration, so a manifest can be fed back as ``--config``.
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 runtime
-error.
+error. An input file that cannot be read as text takes the class of its
+role: the config file exits 2, the DEM and a run's artifacts exit 3.
+
+At import this module loads the standard library and
+:mod:`terrainopt.settings` alone, so ``--help`` and usage errors answer
+without importing numpy. Each command binds the numpy-backed names it
+calls (``_PIPELINE``) when it starts, and looks them up as module
+globals when it calls them.
 """
 from __future__ import annotations
 
@@ -21,41 +28,42 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
-import numpy as np
-
-from .decision import aasf_pick, best_per_objective, sample_interval
-from .evolve import (
-    GenerationStats,
-    Individual,
-    OptimizerConfig,
-    ParetoArchive,
-    history_csv,
-    run_nsga2,
-)
-from .hydrology import (
-    HydroParams,
-    accumulation_threshold,
-    extract_flow_path,
-    fill_depressions,
-    flow_accumulation,
-    flow_directions,
-    max_velocity,
-    runoff_velocity,
-    slope,
-)
-from .objectives import CostParams, ObjectiveVector, apply_plan, grid_to_plan, plan_to_grid
-from .raster import (
-    Grid,
-    GridFormatError,
-    _format_value,
-    load_ascii_grid,
-    save_ascii_grid,
-)
+from .settings import CostParams, HydroParams, OptimizerConfig, _format_value
 
 __all__ = ["main", "RunConfig"]
+
+# The numpy-backed names the commands call, bound into this module's
+# globals from the package on first use, so --help and usage errors never
+# import numpy. The commands look them up as module globals, so a
+# replacement set on this module (a tracer wrapper, a test's monkeypatch)
+# is the one called.
+_PIPELINE = (
+    "aasf_pick", "best_per_objective", "sample_interval",
+    "GenerationStats", "Individual", "ParetoArchive", "history_csv", "run_nsga2",
+    "accumulation_threshold", "extract_flow_path", "fill_depressions", "flow_accumulation",
+    "flow_directions", "max_velocity", "runoff_velocity", "slope",
+    "ObjectiveVector", "apply_plan", "grid_to_plan", "plan_to_grid",
+    "Grid", "GridFormatError", "load_ascii_grid", "save_ascii_grid",
+)
+
+
+def __getattr__(name):
+    if name not in _PIPELINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(__package__), name)
+    return value
+
+
+def _bind_pipeline() -> None:
+    """Bind every pipeline name not yet set; a name already set is kept."""
+    for name in _PIPELINE:
+        if name not in globals():
+            __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -249,7 +257,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        raw.update(read_flat_config(path))
+        try:
+            raw.update(read_flat_config(path))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     raw.update(_flag_values(args))
     return build_run_config(raw)
 
@@ -275,7 +286,7 @@ def _load_dem(cfg: RunConfig) -> Grid:
         raise InputError(f"DEM file not found: {path}")
     try:
         dem = load_ascii_grid(path)
-    except GridFormatError as exc:
+    except (GridFormatError, OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     if dem.n_valid == 0:
         raise InputError(f"{path}: no valid cells")
@@ -284,6 +295,8 @@ def _load_dem(cfg: RunConfig) -> Grid:
 
 def plan_checksum(plan: np.ndarray) -> str:
     """Stable 16-hex-digit digest of a plan's float64 little-endian bytes."""
+    import numpy as np
+
     return hashlib.sha256(np.asarray(plan, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
@@ -299,6 +312,7 @@ def _objective_row(o: ObjectiveVector) -> list[str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _bind_pipeline()
     cfg = _config_from_args(args)
     dem = _load_dem(cfg)
     hp = cfg.hydro
@@ -371,6 +385,7 @@ def _export_selections(
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    _bind_pipeline()
     cfg = _config_from_args(args)
     dem = _load_dem(cfg)
     run_dir = Path(cfg.output_dir)
@@ -455,34 +470,40 @@ def _load_archive(
     for required in (manifest, pareto, genomes):
         if not required.exists():
             raise InputError(f"missing run artifact: {required}")
-    cfg = build_run_config({**read_flat_config(manifest), **overrides}, ignore_unknown=True)
+    try:
+        stored = read_flat_config(manifest)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"corrupt run artifact: {manifest}: {exc}") from exc
+    cfg = build_run_config({**stored, **overrides}, ignore_unknown=True)
     base = _load_dem(cfg)
+    try:
+        with open(pareto, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = [(reader.line_num, row) for row in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"corrupt run artifact: {pareto}: {exc}") from exc
     members = []
-    with open(pareto, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                member_id = int(row["id"])
-                objectives = ObjectiveVector(
-                    path_cells=int(row["path_cells"]),
-                    v_max=float(row["v_max_mps"]),
-                    cost=float(row["cost"]),
-                )
-                checksum = row["delta_checksum"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(
-                    f"corrupt run artifact: {pareto}, line {reader.line_num}: {exc}"
-                ) from exc
-            raster_path = genomes / f"member_{member_id:04d}.asc"
-            if not raster_path.exists():
-                raise InputError(f"missing run artifact: {raster_path}")
-            try:
-                plan = grid_to_plan(base, load_ascii_grid(raster_path))
-            except ValueError as exc:  # malformed, or not at the DEM's layout
-                raise InputError(f"corrupt run artifact: {raster_path}: {exc}") from exc
-            if plan_checksum(plan) != checksum:
-                raise InputError(f"corrupt run artifact: {raster_path} fails its checksum")
-            members.append(Individual(plan=plan, objectives=objectives))
+    for line_num, row in rows:
+        try:
+            member_id = int(row["id"])
+            objectives = ObjectiveVector(
+                path_cells=int(row["path_cells"]),
+                v_max=float(row["v_max_mps"]),
+                cost=float(row["cost"]),
+            )
+            checksum = row["delta_checksum"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"corrupt run artifact: {pareto}, line {line_num}: {exc}") from exc
+        raster_path = genomes / f"member_{member_id:04d}.asc"
+        if not raster_path.exists():
+            raise InputError(f"missing run artifact: {raster_path}")
+        try:
+            plan = grid_to_plan(base, load_ascii_grid(raster_path))
+        except (OSError, ValueError) as exc:  # unreadable, malformed, or not at the DEM's layout
+            raise InputError(f"corrupt run artifact: {raster_path}: {exc}") from exc
+        if plan_checksum(plan) != checksum:
+            raise InputError(f"corrupt run artifact: {raster_path} fails its checksum")
+        members.append(Individual(plan=plan, objectives=objectives))
     if not members:
         raise InputError(f"{pareto}: no archive members")
     n_var = len(members[0].plan)
@@ -497,6 +518,7 @@ def _load_archive(
 
 
 def cmd_pick(args: argparse.Namespace) -> int:
+    _bind_pipeline()
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise InputError(f"run directory not found: {run_dir}")

@@ -47,9 +47,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .objectives import CostParams, ObjectiveVector, evaluate, plan_length
-from .hydrology import HydroParams
-from .raster import Grid, _format_value, _require_finite
+from .objectives import ObjectiveVector, evaluate, plan_length
+from .raster import Grid
+from .settings import CostParams, HydroParams, OptimizerConfig, _format_value
 
 __all__ = [
     "OptimizerConfig",
@@ -65,52 +65,6 @@ __all__ = [
     "run_nsga2",
     "history_csv",
 ]
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """NSGA-II settings.
-
-    ``mutation_probability`` of None resolves to 1/n_variables at run
-    time; :meth:`mutation_rate` applies that rule. ``snapshot_generations``
-    lists the generations at which callers typically persist intermediate
-    fronts (see the CLI); the loop itself reports every generation through
-    the history and the optional callback.
-    """
-
-    population_size: int = 200
-    offspring_size: int = 100
-    generations: int = 300
-    crossover_probability: float = 0.9
-    crossover_eta: float = 15.0
-    mutation_probability: Optional[float] = None
-    mutation_eta: float = 20.0
-    rng_seed: int = 0
-    lower_bound: float = -2.0
-    upper_bound: float = 2.0
-    seed_with_zero_plan: bool = True
-    snapshot_generations: tuple[int, ...] = (50, 100, 200, 300)
-
-    def __post_init__(self):
-        _require_finite(self)
-        if self.population_size <= 0 or self.offspring_size <= 0:
-            raise ValueError("population_size and offspring_size must be > 0")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if not 0 <= self.crossover_probability <= 1:
-            raise ValueError("crossover_probability must be in [0, 1]")
-        if self.mutation_probability is not None and not 0 <= self.mutation_probability <= 1:
-            raise ValueError("mutation_probability must be in [0, 1]")
-        if self.crossover_eta < 0 or self.mutation_eta < 0:
-            raise ValueError("distribution indices must be >= 0")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be a non-negative integer")
-        if not self.lower_bound < self.upper_bound:
-            raise ValueError("lower_bound must be < upper_bound")
-
-    def mutation_rate(self, n_var: int) -> float:
-        """Per-variable mutation probability for plans of ``n_var`` variables."""
-        return self.mutation_probability if self.mutation_probability is not None else 1.0 / n_var
 
 
 @dataclass(eq=False)

@@ -32,7 +32,8 @@ from functools import reduce
 
 import numpy as np
 
-from .raster import Grid, NEIGHBOR_OFFSETS, _require_finite
+from .raster import Grid, NEIGHBOR_OFFSETS
+from .settings import HydroParams
 
 __all__ = [
     "FlowField",
@@ -62,41 +63,6 @@ D8_CODES = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
 
 class FlowCycleError(RuntimeError):
     """Flow directions contain a cycle; the DEM was not depression-filled."""
-
-
-@dataclass(frozen=True)
-class HydroParams:
-    """Parameters of the runoff pipeline.
-
-    ``manning_n`` is the surface roughness coefficient, ``channel_width``
-    the rectangular channel area parameter B (m^2) the discharge is
-    divided by, ``rain_intensity`` the design storm in m/s (the default
-    1e-5 m/s is 36 mm/h) and ``accumulation_threshold_fraction`` the
-    share of the maximum accumulation that delineates the flow path.
-    ``fill_epsilon`` is the drainage gradient applied on filled flats and
-    ``slope_as_percent`` switches the velocity formula to percent slope
-    (0-100) instead of the default rise/run fraction.
-    """
-
-    manning_n: float = 0.1
-    channel_width: float = 1.0
-    rain_intensity: float = 1e-5
-    accumulation_threshold_fraction: float = 0.02
-    fill_epsilon: float = 1e-5
-    slope_as_percent: bool = False
-
-    def __post_init__(self):
-        _require_finite(self)
-        if not self.manning_n > 0:
-            raise ValueError("manning_n must be > 0")
-        if not self.channel_width > 0:
-            raise ValueError("channel_width must be > 0")
-        if self.rain_intensity < 0:
-            raise ValueError("rain_intensity must be >= 0")
-        if not 0 < self.accumulation_threshold_fraction <= 1:
-            raise ValueError("accumulation_threshold_fraction must be in (0, 1]")
-        if self.fill_epsilon < 0:
-            raise ValueError("fill_epsilon must be >= 0")
 
 
 @dataclass(frozen=True)

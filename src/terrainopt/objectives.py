@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hydrology import (
-    HydroParams,
     _accumulate,
     _d8_codes,
     _downstream_indices,
@@ -43,7 +42,8 @@ from .hydrology import (
     runoff_velocity,
     slope,
 )
-from .raster import Grid, _require_finite
+from .raster import Grid
+from .settings import CostParams, HydroParams
 
 __all__ = [
     "CostParams",
@@ -55,21 +55,6 @@ __all__ = [
     "earthwork_cost",
     "evaluate",
 ]
-
-
-@dataclass(frozen=True)
-class CostParams:
-    """Earthwork pricing: currency units per m^3 moved, and cell area in m^2."""
-
-    unit_price: float = 100.0
-    cell_area: float = 100.0
-
-    def __post_init__(self):
-        _require_finite(self)
-        if not self.unit_price > 0:
-            raise ValueError("unit_price must be > 0")
-        if not self.cell_area > 0:
-            raise ValueError("cell_area must be > 0")
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,13 @@ keeps every valid value and the valid mask exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+from .settings import _format_value, _require_finite
 
 __all__ = [
     "Grid",
@@ -164,22 +166,6 @@ class Grid:
             f"Grid({self.n_rows}x{self.n_cols}, cell_size={self.cell_size}, "
             f"valid={self.n_valid}/{self.values.size})"
         )
-
-
-def _format_value(x: float) -> str:
-    # shortest decimal that parses back to the same float
-    x = float(x)
-    if x.is_integer() and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
-
-
-def _require_finite(params) -> None:
-    """Raise ValueError naming the first float field of a dataclass that is inf or NaN."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def write_ascii_grid(grid: Grid) -> str:

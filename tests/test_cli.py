@@ -540,6 +540,38 @@ class TestPick:
         assert exc.value.code == 2
 
 
+def make_unreadable(path, kind):
+    """Put at ``path`` something that exists but cannot be read as UTF-8 text."""
+    if kind == "directory":
+        path.mkdir()
+    else:  # a UTF-16 byte-order mark
+        path.write_bytes(b"\xff\xfe" + "ncols 3\n".encode("utf-16-le"))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+class TestUnreadableInputs:
+    # a file that cannot be opened for reading takes the same path; the sandbox
+    # the tests were written in runs as root, so permission denial is not tested
+
+    @pytest.mark.parametrize(
+        "command, flag, code", [("analyze", "--dem", 3), ("optimize", "--config", 2)]
+    )
+    def test_input_file_exits_with_its_class(self, tmp_path, capsys, kind, command, flag, code):
+        path = make_unreadable(tmp_path / "input", kind)
+        assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == code
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact", ["manifest.txt", "pareto.csv", "genomes/member_0000.asc"])
+    def test_run_artifact_is_input_error(self, small_run, capsys, kind, artifact):
+        _, run_dir = small_run
+        path = run_dir / artifact
+        path.unlink()
+        make_unreadable(path, kind)
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
+        assert f"corrupt run artifact: {path}" in capsys.readouterr().err
+
+
 def _unchanged_fields(cfg, default, prefix=""):
     names = []
     for field in dataclasses.fields(cfg):
