@@ -227,18 +227,16 @@ def _sbx(
 
     A variable is crossed where its ``crossed_draw`` is below 0.5, with
     the spread factor of its uniform draw ``u``; the children are clipped
-    to the bounds. Only the crossed variables are computed.
+    to the bounds. Only the crossed variables are computed, and each
+    spread factor with one power: the base of the branch of the SBX
+    distribution that its draw falls in, raised once.
     """
     crossed = np.flatnonzero(crossed_draw < 0.5)
     u = np.ravel(u)[crossed]
     x1 = np.ravel(p1)[crossed]
     x2 = np.ravel(p2)[crossed]
     exponent = 1.0 / (cfg.crossover_eta + 1.0)
-    beta = np.where(
-        u <= 0.5,
-        (2.0 * u) ** exponent,
-        (1.0 / (2.0 * (1.0 - u))) ** exponent,
-    )
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** exponent
     c1 = np.array(p1, order="C")
     c2 = np.array(p2, order="C")
     c1.reshape(-1)[crossed] = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)

@@ -22,11 +22,15 @@ Each of these is a thin wrapper over a private kernel on plain arrays: a
 (B, h, w) stack of planes sharing one (h, w) valid mask, which the D8,
 path, slope and velocity kernels also take as a single (h, w) plane. So
 :func:`~terrainopt.objectives.evaluate` scores a stack of plans with one
-array program per stage, and no stage loops over the planes.
+array program per stage, and no stage loops over the planes. The fill
+keeps its working arrays, and the slope kernel its cell sets of the last
+mask, per thread from one call to the next: the calls that score a run
+repeat one stack shape and one mask, and so map no fresh memory for them.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -131,18 +135,19 @@ def _sweep_buffers(b: int, h: int, w: int):
     return buffers, views
 
 
-def _sweep_down(water: np.ndarray, z: np.ndarray, epsilon: float):
+def _sweep_down(water: np.ndarray, z: np.ndarray):
     """One buffer's downward sweep, as a function that each pass of the fill calls.
 
-    A call lowers each row of ``water``, top to bottom, to ``max(z, min(3
-    above) + epsilon)``. Both buffers are laid out as :func:`_sweep_buffers` makes them, and
-    each row is swept as one flat run over all planes. A pad column holds
-    inf in ``z`` too, so it computes ``max(inf, ...)``, stays inf, and
-    keeps each plane's water apart from the next. The new level is taken
-    with ``fmin``, which skips a NaN, so a NaN next to a pad leaves it inf;
-    its argument order keeps ``np.minimum``'s choice on ties, so signed
-    zeros keep their bits. The views of each run are cut here once, and
-    every pass of the fill reuses them.
+    A call ``sweep(epsilon)`` lowers each row of ``water``, top to bottom,
+    to ``max(z, min(3 above) + epsilon)``. Both buffers are laid out as
+    :func:`_sweep_buffers` makes them, and each row is swept as one flat run
+    over all planes. A pad column holds inf in ``z`` too, so it computes
+    ``max(inf, ...)``, stays inf, and keeps each plane's water apart from
+    the next. The new level is taken with ``fmin``, which skips a NaN, so
+    a NaN next to a pad leaves it inf; its argument order keeps
+    ``np.minimum``'s choice on ties, so signed zeros keep their bits. The
+    views of each run are cut here once, and every pass of every fill of
+    the same stack shape reuses them.
     """
     water = water.reshape(water.shape[0], -1)
     z = z.reshape(water.shape)
@@ -152,7 +157,7 @@ def _sweep_down(water: np.ndarray, z: np.ndarray, epsilon: float):
         for r in range(1, water.shape[0])
     ]
 
-    def sweep():
+    def sweep(epsilon):
         for left, above, right, z_row, row in runs:
             np.minimum(left, above, out=lowest)
             np.minimum(lowest, right, out=lowest)
@@ -163,52 +168,183 @@ def _sweep_down(water: np.ndarray, z: np.ndarray, epsilon: float):
     return sweep
 
 
+# each thread's working arrays for the kernels below, kept from one call to
+# the next (see _fill_buffers and _horn_patch)
+_scratch = threading.local()
+
+
+class _FillBuffers:
+    """The working arrays of the fill for one (B, h, w) stack shape.
+
+    The sweep buffers of the elevations and of the water, and the water's
+    sweep functions (:func:`_sweep_buffers`, :func:`_sweep_down`);
+    ``swept``, a pass's result, and ``lowered``, the cells it lowered.
+    For the sparse finish, the elevations (``z``) and the water surface
+    (``water``) inside a one-cell inf border, where a cell's neighbors lie
+    at fixed flat ``offsets`` (in NEIGHBOR_OFFSETS order), and two marks
+    on the same padded grid: ``free``, the cells that may lower (valid,
+    and not seeds), and ``mark``, the cells to update next, clear between
+    fills.
+    """
+
+    def __init__(self, b: int, h: int, w: int):
+        self.shape = (b, h, w)
+        z_buffers, self.z_views = _sweep_buffers(b, h, w)
+        water_buffers, self.water_views = _sweep_buffers(b, h, w)
+        self.sweeps = [_sweep_down(water, z) for water, z in zip(water_buffers, z_buffers)]
+        self.z = np.full((b, h + 2, w + 2), np.inf)
+        self.water = np.full((b, h + 2, w + 2), np.inf)
+        self.free = np.zeros((b, h + 2, w + 2), dtype=bool)
+        self.mark = np.zeros((b, h + 2, w + 2), dtype=bool)
+        self.swept = np.empty((b, h, w))
+        self.lowered = np.empty((b, h, w), dtype=bool)
+        self.offsets = np.array([dr * (w + 2) + dc for dr, dc in NEIGHBOR_OFFSETS])
+
+
+def _fill_buffers(b: int, h: int, w: int) -> _FillBuffers:
+    """Fill buffers for a (B, h, w) stack, kept per thread once a shape repeats.
+
+    A thread keeps the buffers of the last shape that it filled twice in a
+    row, and a fill of that shape allocates no working array, so the run of
+    fills that scores a population maps and faults no fresh memory. A fill
+    of any other shape drops them and builds its own, which it keeps only
+    if the next fill has its shape too: so a lone large stack, such as a
+    first generation, holds no more memory once it is filled than it did
+    while filling. Every array is written before it is read, bar the inf
+    pads, which no fill writes.
+    """
+    kept = getattr(_scratch, "fill", None)
+    if kept is not None and kept.shape == (b, h, w):
+        return kept
+    _scratch.fill = None  # let the old arrays go first
+    buffers = _FillBuffers(b, h, w)
+    if getattr(_scratch, "last_fill", None) == (b, h, w):
+        _scratch.fill = buffers
+    _scratch.last_fill = (b, h, w)
+    return buffers
+
+
+# a dense pass that lowers at most this share of the cells that the pass
+# before it lowered hands the rest of the fill to the sparse finish
+_SPARSE_SHARE = 1 / 8
+
+
+def _sparse_finish(
+    buffers: _FillBuffers, z: np.ndarray, filled: np.ndarray, free: np.ndarray, epsilon: float,
+    budget: int,
+) -> bool:
+    """Lower, in place, the cells of ``filled`` that the last dense pass left above the fill.
+
+    Only a neighbor of a cell that the pass lowered (``buffers.lowered``)
+    can still lower: in the pass, every cell took the update from neighbor
+    levels at or below the ones it started with, over the four sweeps,
+    which between them read all eight neighbors. So each sparse Jacobi
+    update takes ``max(z, min(W of its 8 neighbors) + epsilon)`` for the
+    ``free`` neighbors of the cells that the last pass or update lowered,
+    and keeps it where it lowers the cell. An update that lowers no cell
+    returns True. After ``budget`` updates it returns False, with
+    ``filled`` an upper bound of the fill as before, for the dense passes
+    to finish. Needs finite elevations (``z``, inf at nodata).
+    """
+    inside = (slice(None), slice(1, -1), slice(1, -1))
+    buffers.z[inside], buffers.water[inside], buffers.free[inside] = z, filled, free
+    buffers.mark[inside] = buffers.lowered
+    flat_water, flat_z = buffers.water.reshape(-1), buffers.z.reshape(-1)
+    free, mark, offsets = buffers.free.reshape(-1), buffers.mark.reshape(-1), buffers.offsets
+    cells = np.flatnonzero(mark)
+    mark[cells] = False
+    done = False
+    for _ in range(budget):
+        # each free neighbor of the cells just lowered, once: marked, then
+        # read back in order, and the mark cleared
+        around = (cells[:, None] + offsets).reshape(-1)
+        mark[around] = free[around]
+        active = np.flatnonzero(mark)
+        mark[active] = False
+        lowest = flat_water[active + offsets[:, None]].min(axis=0)
+        level = np.maximum(flat_z[active], lowest + epsilon)
+        lower = level < flat_water[active]
+        cells = active[lower]
+        if not cells.size:
+            done = True
+            break
+        flat_water[cells] = level[lower]
+    filled[...] = buffers.water[inside]
+    return done
+
+
 def _fill(z, valid, seeds, epsilon):
     """Fill each plane of a (B, h, w) stack by directional sweeps; inf at nodata cells.
 
     The fill of Planchon & Darboux (2002): every valid cell but the seeds
-    starts at inf, and passes lower it to ``max(z, min(W of its 8
-    neighbors) + epsilon)`` until one changes nothing. A pass sweeps all
-    four orientations at once (:func:`_sweep_buffers`) and keeps their
-    minimum. Nodata holds inf, so water never crosses it.
+    starts at inf, and updates lower it to ``max(z, min(W of its 8
+    neighbors) + epsilon)`` until none changes anything. A dense pass
+    updates every cell: it sweeps all four orientations at once
+    (:func:`_sweep_buffers`) and keeps their minimum. Nodata holds inf,
+    so water never crosses it. Once a pass lowers few cells (an eighth
+    or less of those that the pass before it lowered), and only once, the
+    sparse finish (:func:`_sparse_finish`) updates just the cells next to
+    those that last changed; past ``max(h, w)`` updates it hands back to
+    the dense passes. A spiralling drainage path, which each pass follows
+    one turn further, lowers about as many cells a pass as the pass
+    before, so it keeps the dense passes.
 
     Bit for bit the Priority-Flood+epsilon of Barnes, Lehman & Mulla
     (2014), ties, sub-ulp epsilon and signed zeros included: with the seeds
     fixed, the flood's surface is the greatest fixed point of that update
     (by induction on its pop order, as ``fl(x + epsilon)`` is monotone),
-    and lowering from inf stays above every fixed point and stops only at
-    one. Passes number at most the flood tree's depth plus one: a few on
-    rough terrain, about one per turn of a spiralling drainage path.
+    and lowering from inf, in any order, stays above every fixed point
+    and stops only at one. Dense passes number at most the flood tree's
+    depth plus one: two on rough terrain before the sparse finish, about
+    one per turn of a spiralling drainage path.
 
-    It ends on any input, as a pass that lowers no cell is the last. A +inf
-    elevation stays inf, and an interior -inf fills to a finite spill
-    level. A NaN elevation leaves its cell non-finite, NaN at a seed and
-    inf elsewhere; the sweeps skip the NaN levels it yields, so no other
-    cell of its plane takes NaN, and every other plane of the stack fills
-    as if alone.
+    The one exception is ``epsilon = -0.0``, the only epsilon that adds
+    to -0.0 without changing its sign: a cell raised to 0 copies the zero
+    of the neighbor that lowered it, sign bit included, so its sign
+    depends on the order of the updates and may differ from the flood's.
+    There only the dense passes run, so that the order stays that of the
+    passes.
+
+    Only finite elevations take the sparse finish. The fill ends on any
+    input, as a pass that lowers no cell is the last. A +inf elevation
+    stays inf, and an interior -inf fills to a finite spill level. A NaN
+    elevation leaves its cell non-finite, NaN at a seed and inf
+    elsewhere; the sweeps skip the NaN levels it yields, so no other cell
+    of its plane takes NaN, and every other plane of the stack fills as
+    if alone.
     """
     b, h, w = z.shape
-    z_buffers, z_views = _sweep_buffers(b, h, w)
-    water_buffers, water_views = _sweep_buffers(b, h, w)
-    z = np.where(valid, z, np.inf)
-    for view in z_views:
-        view[...] = z
-    filled = np.where(seeds, z, np.inf)
-    sweeps = [_sweep_down(water, zb, epsilon) for water, zb in zip(water_buffers, z_buffers)]
+    buffers = _fill_buffers(b, h, w)
+    z_inf = np.where(valid, z, np.inf)
+    for view in buffers.z_views:
+        view[...] = z_inf
+    filled, swept = np.where(seeds, z_inf, np.inf), buffers.swept
+    sparse = bool(np.isfinite(z).all()) and math.copysign(1.0, epsilon) > 0
     # a cell raised past the float range fills to inf, as in the flood; the
     # callers report it as a non-finite grid
+    previous = swept.size
     with np.errstate(over="ignore"):
         while True:
-            for view in water_views:
+            for view in buffers.water_views:
                 view[...] = filled
-            for sweep in sweeps:
-                sweep()
-            swept = reduce(np.minimum, water_views)
-            if not (swept < filled).any():
+            for sweep in buffers.sweeps:
+                sweep(epsilon)
+            first, *rest = buffers.water_views
+            np.minimum(first, rest[0], out=swept)
+            for view in rest[1:]:
+                np.minimum(swept, view, out=swept)
+            lowered = np.count_nonzero(np.less(swept, filled, out=buffers.lowered))
+            if not lowered:
                 break
-            filled = swept
+            # the new surface is filled, and the old one's array takes the next pass
+            filled, swept = swept, filled
+            if sparse and lowered <= _SPARSE_SHARE * previous:
+                sparse = False
+                if _sparse_finish(buffers, z_inf, filled, valid & ~seeds, epsilon, max(h, w)):
+                    break
+            previous = lowered
     # the flood keeps z where its floor only ties it, so a -0.0 stays -0.0
-    return np.where(filled == z, z, filled)
+    return np.where(filled == z_inf, z_inf, filled)
 
 
 def fill_depressions(dem: Grid, epsilon: float = 1e-5) -> Grid:
@@ -240,25 +376,42 @@ def _d8_codes(z: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
     code order: a later neighbor wins only if strictly steeper, so ties go
     to the first, as in ``argmax``. A NaN gradient, which only a fill that
     reached inf gives, stays in the maximum and makes the cell an outlet.
+    A win is written without a branch: the codes double in code order,
+    so a later neighbor's code exceeds every earlier one, and the running
+    code is ``max(code, better * new)`` with ``better`` read as a byte of
+    0 or 1. A masked copy mispredicts a branch on most cells, as the wins
+    fall raggedly. Each step runs over the padded planes as one flat run,
+    from the first cell inside the border to the last, so a neighbor is a
+    fixed offset away; the border cells in the run hold -inf, as nodata
+    does, and their results are never read.
     """
     diag = cell_size * math.sqrt(2.0)
     # a missing neighbor holds inf, so its drop is -inf and it never wins; a
     # nodata centre holds -inf, so the sentinel never enters the arithmetic
     padded = _pad(np.where(valid, z, np.inf), np.inf)
-    centre = np.where(valid, z, -np.inf)
-    code = np.full(z.shape, D8_CODES[0])
-    best_grad = np.empty(z.shape)
-    grad = np.empty(z.shape)
-    better = np.empty(z.shape, dtype=bool)
+    centre = np.where(_pad(valid, False), padded, -np.inf)
+    row = padded.shape[-1]
+    run = slice(row + 1, padded.size - row - 1)
+    code = np.full(padded.shape, D8_CODES[0])
+    best_grad = np.empty(padded.shape)
+    grad = np.empty(padded.size)[run]
+    better = np.empty(grad.shape, dtype=bool)
+    win = np.empty(grad.shape, dtype=np.uint8)
+    run_code, run_best = code.reshape(-1)[run], best_grad.reshape(-1)[run]
+    run_centre, flat = centre.reshape(-1)[run], padded.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, ((dr, dc), nb) in enumerate(zip(NEIGHBOR_OFFSETS, _neighbors(padded))):
-            out = grad if k else best_grad
-            np.subtract(centre, nb, out=out)
+        for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
+            out = grad if k else run_best
+            shift = dr * row + dc
+            np.subtract(run_centre, flat[run.start + shift : run.stop + shift], out=out)
             out /= diag if dr and dc else cell_size
             if k:
-                np.greater(grad, best_grad, out=better)
-                np.copyto(code, D8_CODES[k], where=better)
-                np.maximum(best_grad, grad, out=best_grad)
+                np.greater(grad, run_best, out=better)
+                np.multiply(better.view(np.uint8), D8_CODES[k], out=win)
+                np.maximum(run_code, win, out=run_code)
+                np.maximum(run_best, grad, out=run_best)
+    inside = (..., slice(1, -1), slice(1, -1))
+    code, best_grad, centre = code[inside], best_grad[inside], centre[inside]
     # a drop or gradient past the float range ties at inf with every other one
     # that overflowed; there, compare drops halved first so they cannot
     # overflow, per unit of cell size (a common factor)
@@ -270,7 +423,8 @@ def _d8_codes(z: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
             for (dr, dc), nb in zip(NEIGHBOR_OFFSETS, _neighbors(padded))
         ]
         code[redo] = D8_CODES[np.argmax(halved, axis=0)]
-    return np.where(valid & (best_grad > 0), code, OUTLET).astype(np.uint8)
+    # an outlet, a nodata cell included, has no positive gradient
+    return code * (valid & (best_grad > 0))
 
 
 def flow_directions(filled_dem: Grid) -> FlowField:
@@ -386,25 +540,78 @@ def extract_flow_path(acc: Grid, fraction: float) -> tuple[np.ndarray, int]:
     return mask, int(mask.sum())
 
 
+def _horn_patch(valid: np.ndarray):
+    """The cells of mask ``valid`` that miss a Horn neighbor, and where each takes its eight.
+
+    Returns the flat indices of the cells, valid or not, with a neighbor
+    outside the grid or at nodata, and an (8, n) array of flat indices, in
+    NEIGHBOR_OFFSETS order: each neighbor's own, or the cell's where that
+    neighbor is missing. Kept per thread for the last mask seen, as
+    evaluate slopes every stack of a run over the same one.
+    """
+    last = getattr(_scratch, "horn", None)
+    if last is not None and np.array_equal(last[0], valid):
+        return last[1:]
+    h, w = valid.shape
+    index = np.arange(h * w).reshape(h, w)
+    missing = list(_neighbors(_pad(~valid, True)))
+    patch = reduce(np.logical_or, missing)
+    sources = np.array(
+        [np.where(out, index, nb)[patch] for out, nb in zip(missing, _neighbors(_pad(index, 0)))]
+    )
+    _scratch.horn = (valid.copy(), np.flatnonzero(patch), sources.reshape(8, -1))
+    return _scratch.horn[1:]
+
+
+def _horn_gradient(e, se, s, sw, w_, nw, n_, ne, denom, out=None):
+    """Horn's ``sqrt(gx**2 + gy**2)`` from the eight neighbors, written to ``out`` if given.
+
+    ``gx = ((ne + 2 e + se) - (nw + 2 w + sw)) / denom`` and ``gy =
+    ((sw + 2 s + se) - (nw + 2 n + ne)) / denom``, each operation with its
+    operands in that order, in three working arrays.
+    """
+
+    def weighted(a, b, c):  # a + 2 b + c
+        total = np.multiply(2.0, b)
+        np.add(a, total, out=total)
+        return np.add(total, c, out=total)
+
+    gx, west = weighted(ne, e, se), weighted(nw, w_, sw)
+    np.divide(np.subtract(gx, west, out=gx), denom, out=gx)
+    gy, north = weighted(sw, s, se), weighted(nw, n_, ne)
+    np.divide(np.subtract(gy, north, out=gy), denom, out=gy)
+    np.multiply(gx, gx, out=gx)
+    np.add(gx, np.multiply(gy, gy, out=gy), out=gx)
+    return np.sqrt(gx, out=gx if out is None else out)
+
+
 def _horn_slope(z: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarray:
     """Horn slope of elevations ``z`` (see :func:`slope`); values at nodata cells carry no meaning.
 
-    A valid cell is non-finite only where the gradient lies past the float
-    range.
+    Cells off the edge are taken from the plain neighbor views, then the
+    cells that miss a neighbor (:func:`_horn_patch`) are taken again with
+    the centre in its place. A valid cell is non-finite only where the
+    gradient lies past the float range.
     """
-    missing = _neighbors(_pad(~valid, True))
-    nb = [np.where(out, z, v) for out, v in zip(missing, _neighbors(_pad(z, 0.0)))]
-    e, se, s, sw, w_, nw, n_, ne = nb
     denom = 8.0 * cell_size
+    grad = np.empty(z.shape)
+    patch, sources = _horn_patch(valid)
+    flat = z.reshape(z.shape[:-2] + (-1,))
     with np.errstate(over="ignore", invalid="ignore"):
-        gx = ((ne + 2.0 * e + se) - (nw + 2.0 * w_ + sw)) / denom
-        gy = ((sw + 2.0 * s + se) - (nw + 2.0 * n_ + ne)) / denom
-        grad = np.sqrt(gx * gx + gy * gy)
+        _horn_gradient(
+            *(z[..., 1 + dr : z.shape[-2] - 1 + dr, 1 + dc : z.shape[-1] - 1 + dc]
+              for dr, dc in NEIGHBOR_OFFSETS),
+            denom,
+            out=grad[..., 1:-1, 1:-1],
+        )
+        grad.reshape(flat.shape)[..., patch] = _horn_gradient(*(flat[..., i] for i in sources), denom)
         # elevations past about 4e307 overflow the sums above; there, take each
         # neighbor's difference to the center (whose weights cancel), halved
         # first so it cannot overflow, and scale it before summing
         redo = valid & ~np.isfinite(grad)
         if redo.any():
+            missing = _neighbors(_pad(~valid, True))
+            nb = [np.where(out, z, v) for out, v in zip(missing, _neighbors(_pad(z, 0.0)))]
             c = z[redo] / 2.0
             e, se, s, sw, w_, nw, n_, ne = ((v[redo] / 2.0 - c) / (denom / 2.0) for v in nb)
             grad[redo] = np.hypot(

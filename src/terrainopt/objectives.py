@@ -149,7 +149,11 @@ def evaluate(
     returns a list of ``B`` of them in plan order. The stack gives every
     plan the same objectives, bit for bit, as scoring it alone; it is
     scored in slices of at most ``2**15`` cells, each stage one array
-    program over the slice, and no stage loops over its plans.
+    program over the slice, and no stage loops over its plans. The fill
+    reuses its thread's working arrays once a slice shape repeats, and the
+    slope its cell sets of the base's mask, so scoring one base over and
+    over maps no fresh memory for them; threads scoring at once share
+    none.
 
     Each modified DEM is depression-filled before routing, then: flow-path
     length from thresholded D8 accumulation, maximum Manning velocity from

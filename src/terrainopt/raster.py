@@ -192,9 +192,27 @@ def write_ascii_grid(grid: Grid) -> str:
         f"cellsize {_format_value(grid.cell_size)}",
         f"NODATA_value {_format_value(sentinel)}",
     ]
-    for row in np.where(grid.valid_mask, grid.values, sentinel):
-        lines.append(" ".join(_format_value(v) for v in row))
+    lines += _format_rows(np.where(grid.valid_mask, grid.values, sentinel))
     return "\n".join(lines) + "\n"
+
+
+def _format_rows(values: np.ndarray) -> list[str]:
+    """Each row of ``values`` as space-separated :func:`_format_value` tokens.
+
+    Where a value is integral and below 1e16 in magnitude, the token is
+    ``repr(int(x))``, and elsewhere ``repr(x)``. An all-integral raster
+    (directions, accumulation, a flow path) goes through int64 at once.
+    """
+    integral = (np.trunc(values) == values) & (np.abs(values) < 1e16)
+    if integral.all():
+        return [" ".join(map(str, row)) for row in values.astype(np.int64).tolist()]
+    ints = np.where(integral, values, 0.0).astype(np.int64).tolist()
+    rows = []
+    for row, int_row, is_int in zip(values.tolist(), ints, integral.tolist()):
+        if any(is_int):
+            row = [i if k else x for x, i, k in zip(row, int_row, is_int)]
+        rows.append(" ".join(map(repr, row)))
+    return rows
 
 
 def _parse_number(token: str, line: int, column: int, what: str) -> float:

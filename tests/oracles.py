@@ -22,6 +22,7 @@ from terrainopt.evolve import (
     sbx_crossover,
     tournament_select,
 )
+from terrainopt.settings import _format_value
 
 # code -> (drow, dcol), row 0 is north
 CODE_TO_OFFSET = {
@@ -340,3 +341,12 @@ def random_dem_values(rng: np.random.Generator, shape, nodata_fraction: float = 
         if not valid.any():
             valid[0, 0] = True
     return values, valid
+
+
+def ascii_grid_rows(values: np.ndarray, valid: np.ndarray, sentinel: float) -> list[str]:
+    """The data rows of an ASCII grid, value by value: ``_format_value`` of each
+    valid cell, and of ``sentinel`` at each nodata cell."""
+    return [
+        " ".join(_format_value(x if ok else sentinel) for x, ok in zip(row, ok_row))
+        for row, ok_row in zip(values.tolist(), valid.tolist())
+    ]

@@ -1,6 +1,7 @@
 """Depression filling, D8 routing, accumulation, slope and velocity."""
 import dataclasses
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from terrainopt import (
     slope,
     synthetic_dem,
 )
+from terrainopt import hydrology
 from terrainopt.hydrology import _accumulate, _d8_codes, _downstream_indices, _fill
 
 from oracles import (
@@ -506,6 +508,88 @@ class TestStackedKernels:
                         cell_size,
                         k,
                     )
+
+
+class TestSparseFinish:
+    """The fill's sparse finish, and its hand-back to the dense passes, plane by plane against the flood."""
+
+    @pytest.fixture
+    def finishes(self, monkeypatch):
+        """What each sparse finish of the test returned: True if it ended the fill."""
+        returned = []
+        finish = hydrology._sparse_finish
+
+        def recorded(*args):
+            returned.append(finish(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(hydrology, "_sparse_finish", recorded)
+        return returned
+
+    @staticmethod
+    def assert_matches_flood(z, valid, epsilon):
+        seeds = exit_cells(valid)
+        filled = _fill(z, valid, seeds, epsilon)
+        h, w = valid.shape
+        for k, plane in enumerate(z):
+            ref = priority_flood_reference(plane.ravel(), valid.ravel(), seeds.ravel(), h, w, epsilon)
+            assert filled[k][valid].tobytes() == ref.reshape(h, w)[valid].tobytes(), k
+
+    @pytest.mark.parametrize("shape", [(12, 12), (40, 40), (17, 11)])
+    @pytest.mark.parametrize(
+        "epsilon, expected",
+        [
+            # the synthetic planes settle in two passes and hand the stack to
+            # the sparse finish; the spiral then needs more updates than it may
+            # run, and the dense passes take over again
+            (0.0, [False]),
+            (1e-5, [False]),
+            # a cell raised to 0 at epsilon -0.0 takes the sign of its
+            # neighbor's zero, which depends on the order of the updates, so
+            # only dense passes run
+            (-0.0, []),
+            # the spiral's steps of 0.3 drain slowly enough that no pass
+            # lowers an eighth as many cells as the pass before it
+            (0.3, []),
+        ],
+    )
+    def test_spiral_among_synthetic_planes(self, finishes, shape, epsilon, expected):
+        spiral = spiral_corridor_dem(*shape).values
+        synthetic = synthetic_dem(*shape, seed=1).values
+        z = np.array([synthetic, spiral, synthetic + 1.0, spiral + 1e12])
+        self.assert_matches_flood(z, np.ones(shape, dtype=bool), epsilon)
+        assert finishes == expected
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.0, 1e-5, 0.3])
+    def test_synthetic_planes_end_in_the_sparse_finish(self, finishes, epsilon):
+        z = np.array([synthetic_dem(40, 40, seed=k).values for k in range(3)])
+        valid = np.ones((40, 40), dtype=bool)
+        valid[10:14, 20:25] = False
+        self.assert_matches_flood(z, valid, epsilon)
+        assert finishes == ([] if math.copysign(1.0, epsilon) < 0 else [True])
+
+    def test_kept_buffers_follow_each_fills_mask_and_seeds(self, finishes, monkeypatch):
+        # from no kept buffers, as in a fresh thread: the stacks are all
+        # 3x40x40, so the second fill keeps its buffers and the later ones
+        # reuse them. A 9x9 spiral sunk into a synthetic plane drains through
+        # the sparse finish, along cells that the mask of the fill before left
+        # out as a hole, so their seeds and mask must be those of the fill at
+        # hand.
+        monkeypatch.setattr(hydrology, "_scratch", threading.local())
+        base = synthetic_dem(40, 40, seed=0).values
+        sunk = base.copy()
+        sunk[10:19, 10:19] = spiral_corridor_dem(9, 9).values + base.min() - 1.0
+        full = np.ones(base.shape, dtype=bool)
+        hole = full.copy()
+        hole[10:19, 10:19] = False
+        for plane, valid in [(sunk, full), (base, hole), (sunk, full), (base, hole)]:
+            self.assert_matches_flood(np.array([plane, plane + 1.0, plane + 2.0]), valid, 1e-5)
+        assert finishes == [True] * 4
+
+    def test_a_lone_spiral_keeps_the_dense_passes(self, finishes):
+        # each pass lowers about as many cells as the one before it
+        self.assert_matches_flood(spiral_corridor_dem(40, 40).values[None], np.ones((40, 40), bool), 1e-5)
+        assert finishes == []
 
 
 def assert_basins_conserved(ff, acc):

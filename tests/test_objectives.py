@@ -1,6 +1,11 @@
 """Plan application, earthwork cost and full three-objective evaluation."""
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 import traceback
 import warnings
 from pathlib import Path
@@ -31,8 +36,10 @@ from terrainopt import (
     slope,
     synthetic_dem,
 )
+import terrainopt
 from terrainopt.cli import main
-from terrainopt.objectives import _SLICE_CELLS
+from terrainopt.hydrology import _d8_codes, _edge_and_nodata_adjacent, _fill, _horn_slope
+from terrainopt.objectives import _SLICE_CELLS, _applied
 
 HP = HydroParams()
 CP = CostParams()
@@ -554,3 +561,91 @@ class TestAnyFiniteGrid:
                      "--out", str(Path(tmp) / "out")]
                 )
         assert code == expected
+
+
+def reuse_problem(name):
+    """A base, a stack of plans and the fill epsilon of one problem below.
+
+    A and B are both 17x11 stacks of six plans, so each reuses the
+    working arrays that the other left in its thread, with other heights,
+    another nodata mask and another epsilon; C is a 12x12 stack of three.
+    """
+    if name == "C":
+        base, plans, epsilon = synthetic_dem(12, 12, seed=9), 3, 0.0
+    else:
+        a = name == "A"
+        values = synthetic_dem(17, 11, seed=2 if a else 3).values + (0.0 if a else 50.0)
+        if a:
+            values[3:6, 4:7] = -9999.0  # an interior hole
+        else:
+            values[8:12, 0] = values[16, 10] = -9999.0  # an edge notch and a corner
+        base, plans, epsilon = Grid(values, 10.0), 6, 1e-5 if a else 0.3
+    rng = np.random.default_rng(sum(map(ord, name)))
+    return base, rng.uniform(-1.0, 1.0, (plans, base.n_valid)), epsilon
+
+
+def reuse_digest(name):
+    """SHA-256 of the fill, D8 codes, Horn slope and scores of problem ``name``."""
+    base, plans, epsilon = reuse_problem(name)
+    valid = base.valid_mask
+    filled = _fill(_applied(base, plans), valid, _edge_and_nodata_adjacent(valid), epsilon)
+    digest = hashlib.sha256()
+    digest.update(filled.tobytes())
+    digest.update(_d8_codes(filled, valid, base.cell_size).tobytes())
+    digest.update(_horn_slope(filled, valid, base.cell_size).tobytes())
+    digest.update(repr(bits(evaluate(base, plans, HydroParams(fill_epsilon=epsilon), CP))).encode())
+    return digest.hexdigest()
+
+
+def fresh_digest(name):
+    """:func:`reuse_digest` of ``name`` in a fresh interpreter, which holds no working arrays yet."""
+    here = Path(__file__).resolve().parent
+    src = str(Path(terrainopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys; sys.path.insert(0, sys.argv[1]); import test_objectives as t\n"
+    script += "print(t.reuse_digest(sys.argv[2]))"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(here), name],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestReusedWorkingArrays:
+    """The fill, D8 and Horn kernels keep working arrays per thread, from call to call.
+
+    No call may read what an earlier one left in them.
+    """
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return {name: fresh_digest(name) for name in "ABC"}
+
+    def test_each_problem_scores_as_in_a_fresh_process(self, fresh):
+        for name in "ABACBA":
+            assert reuse_digest(name) == fresh[name], name
+
+    def test_threads_at_once_score_as_one(self, fresh):
+        # four threads on two CPUs, switching as often as the interpreter can
+        names = "ABAB"
+        start = threading.Barrier(len(names))
+        digests = [[] for _ in names]
+
+        def score(name, out):
+            start.wait()
+            for _ in range(10):
+                out.append(reuse_digest(name))
+
+        threads = [threading.Thread(target=score, args=args) for args in zip(names, digests)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests == [[fresh[name]] * 10 for name in names]

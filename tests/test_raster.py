@@ -1,6 +1,8 @@
 """Grid construction, ASCII grid round-trips and neighborhood lookups."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from terrainopt import (
     CellIndex,
@@ -13,8 +15,36 @@ from terrainopt import (
     write_ascii_grid,
 )
 
+from oracles import ascii_grid_rows
+
 MINIMAL = "ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 10\n42.0\n"
 FLOAT_MAX = np.finfo(np.float64).max
+
+# values where the token switches between int and repr, or that format oddly
+EDGE_VALUES = [
+    -0.0, 0.0, 9999999999999998.0, -9999999999999998.0, 1e16, -1e16, 2.0 ** 53,
+    -(2.0 ** 53), 2.0 ** 53 + 2.0, 1e16 + 2.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    0.5, -1.5, 123.0, -9999.0, FLOAT_MAX, -FLOAT_MAX,
+]
+
+
+@st.composite
+def written_grids(draw):
+    """A grid of edge values, integers and arbitrary finite floats, with a mask
+    and a sentinel that a valid cell may hold."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    values = draw(
+        hnp.arrays(
+            np.float64,
+            shape,
+            elements=st.sampled_from(EDGE_VALUES)
+            | st.integers(-10**17, 10**17).map(float)
+            | st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    valid = draw(hnp.arrays(np.bool_, shape, elements=st.integers(0, 3).map(bool)))
+    sentinel = draw(st.sampled_from([-9999.0, 0.0, -0.0, 1.0]) | st.sampled_from(values.ravel().tolist()))
+    return Grid(np.where(valid, values, sentinel), 10.0, nodata_sentinel=sentinel, valid_mask=valid)
 
 
 class TestGrid:
@@ -196,6 +226,13 @@ class TestWrite:
         back = parse_ascii_grid(text)
         assert back.valid_mask.all()
         assert np.array_equal(back.values, g.values)
+
+    @given(g=written_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_property_rows_match_per_value_format(self, g):
+        lines = write_ascii_grid(g).splitlines()
+        nodata = float(lines[5].split()[1])
+        assert lines[6:] == ascii_grid_rows(g.values, g.valid_mask, nodata)
 
     def test_save_load_keeps_mask_and_valid_values(self, tmp_path):
         # integer values under sentinel 0 put valid zeros next to nodata cells
