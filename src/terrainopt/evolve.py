@@ -26,7 +26,8 @@ None come out.
   chunk, so the children do not depend on the cuts.
 - Worker processes score the first chunks, each sent down a pipe as
   soon as it is drawn; the calling process draws and scores the last
-  chunk meanwhile. No helper thread runs.
+  chunk meanwhile. No helper thread runs. A chunk's scores come back as
+  one (k, 3) all-minimize objective array.
 - A chunk whose scoring raised, in any process, comes back as None, and
   is scored again in the calling process once every reply is read,
   walking the chunks in plan order. Scoring is pure, so the first
@@ -34,9 +35,15 @@ None come out.
   serial run. A worker that dies raises a RuntimeError naming its exit
   code.
 
-Objective vectors are handled in the all-minimize sense (see
-:meth:`~terrainopt.objectives.ObjectiveVector.as_min_array`); history
-records and archive members carry the external senses.
+Selection state is held as arrays: the population's plans (N, n_var),
+its all-minimize objective matrix (N, 3) (see
+:meth:`~terrainopt.objectives.ObjectiveVector.as_min_array`), and each
+row's rank, crowding distance and generation of birth. Survival and
+tournaments read these arrays. :class:`Individual` objects, which carry
+the external senses, are built only for what the API hands out: the
+rank-0 front passed to the generation callback, and the archive. A
+member's object is built when it first reaches the front, with a copy
+of its plan, and is reused while it survives.
 """
 from __future__ import annotations
 
@@ -130,37 +137,43 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 def _dominance(objs: np.ndarray) -> np.ndarray:
     """Pairwise dominance of the rows of an all-minimize matrix: [i, j] is i dominates j.
 
-    The diagonal is False, since no row is strictly better than itself.
+    Row i dominates row j where it is no worse in every objective and j is
+    not also no worse than i, which would make the two rows equal. The
+    diagonal is False, since no row is strictly better than itself.
     """
-    n = objs.shape[0]
-    le = np.ones((n, n), dtype=bool)
-    lt = np.zeros((n, n), dtype=bool)
-    for col in objs.T:
+    cols = iter(objs.T)
+    col = next(cols)
+    le = col[:, None] <= col[None, :]
+    for col in cols:
         le &= col[:, None] <= col[None, :]
-        lt |= col[:, None] < col[None, :]
-    return le & lt
+    return le & ~le.T
 
 
-def non_dominated_sort(objs: np.ndarray) -> list[np.ndarray]:
+def non_dominated_sort(objs: np.ndarray, at_least: Optional[int] = None) -> list[np.ndarray]:
     """Partition rows of an all-minimize objective matrix into fronts.
 
     Front k holds points dominated only by members of fronts < k. Returns
-    index arrays in ascending index order within each front.
+    index arrays in ascending index order within each front. With
+    ``at_least``, peeling stops as soon as the fronts hold that many rows,
+    so the fronts returned are the first ones of the full sort.
     """
     objs = np.asarray(objs, dtype=np.float64)
     n = objs.shape[0]
-    if n == 0:
+    need = n if at_least is None else min(at_least, n)
+    if need <= 0:
         return []
     dom = _dominance(objs)
     count = dom.sum(axis=0).astype(np.int64)
     active = np.ones(n, dtype=bool)
     fronts = []
-    while active.any():
+    while True:
         front = np.flatnonzero(active & (count == 0))
         fronts.append(front)
+        need -= len(front)
+        if need <= 0:
+            return fronts
         active[front] = False
         count -= dom[front].sum(axis=0)
-    return fronts
 
 
 def crowding_distance(objs: np.ndarray) -> np.ndarray:
@@ -292,44 +305,37 @@ def _mutate(
     return out
 
 
-def _select_survivors(merged: list[Individual], target: int) -> list[Individual]:
-    """(mu+lambda) survival: whole fronts, then crowding-truncated partial front.
+def _select_survivors(objs: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu+lambda) survival on an all-minimize objective matrix: whole fronts,
+    then the crowding-truncated partial front.
 
-    Assigns rank and crowding on every individual it touches.
+    Returns the rows of the ``target`` survivors, each front in ascending
+    row order but the partial one in descending crowding (stable), with
+    their ranks and their crowding distances within their whole front.
     """
-    objs = np.array([m.objectives.as_min_array() for m in merged])
-    fronts = non_dominated_sort(objs)
-    survivors: list[Individual] = []
-    for rank, front in enumerate(fronts):
-        crowd = crowding_distance(objs[front])
-        for idx, c in zip(front, crowd):
-            merged[idx].rank = rank
-            merged[idx].crowding = float(c)
-        if len(survivors) + len(front) <= target:
-            survivors.extend(merged[i] for i in front)
-            if len(survivors) == target:
-                break
-        else:
-            need = target - len(survivors)
-            order = np.argsort(-crowd, kind="stable")
-            survivors.extend(merged[front[i]] for i in order[:need])
-            break
-    return survivors
+    fronts = non_dominated_sort(objs, at_least=target)
+    crowds = [crowding_distance(objs[front]) for front in fronts]
+    need = target - sum(len(front) for front in fronts[:-1])
+    if need < len(fronts[-1]):
+        order = np.argsort(-crowds[-1], kind="stable")[:need]
+        fronts[-1], crowds[-1] = fronts[-1][order], crowds[-1][order]
+    rank = np.repeat(np.arange(len(fronts)), [len(front) for front in fronts])
+    return np.concatenate(fronts), rank, np.concatenate(crowds)
 
 
-def _front_stats(generation: int, front: list[Individual], wall_ms: float) -> GenerationStats:
-    path = [m.objectives.path_cells for m in front]
-    vmax = [m.objectives.v_max for m in front]
-    cost = [m.objectives.cost for m in front]
+def _front_stats(generation: int, front: np.ndarray, wall_ms: float) -> GenerationStats:
+    """Stats of the rank-0 front given as its all-minimize objective rows."""
+    lo = front.min(axis=0).tolist()
+    hi = front.max(axis=0).tolist()
     return GenerationStats(
         generation=generation,
         front_size=len(front),
-        path_cells_min=min(path),
-        path_cells_max=max(path),
-        v_max_min=min(vmax),
-        v_max_max=max(vmax),
-        cost_min=min(cost),
-        cost_max=max(cost),
+        path_cells_min=int(-hi[0]),
+        path_cells_max=int(-lo[0]),
+        v_max_min=lo[1],
+        v_max_max=hi[1],
+        cost_min=lo[2],
+        cost_max=hi[2],
         wall_ms=wall_ms,
     )
 
@@ -345,16 +351,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _min_rows(scores: list[ObjectiveVector]) -> np.ndarray:
+    """The (k, 3) all-minimize matrix of objective vectors, each row its ``as_min_array``."""
+    return np.array([(-float(s.path_cells), s.v_max, s.cost) for s in scores])
+
+
 def _scores_or_none(
     base: Grid, plans: np.ndarray, hp: HydroParams, cp: CostParams
-) -> Optional[list[ObjectiveVector]]:
-    """The objectives of one chunk of plans in plan order, or None if scoring it raises.
+) -> Optional[np.ndarray]:
+    """The (k, 3) all-minimize objectives of one chunk of plans in plan order,
+    or None if scoring it raises.
 
     The error is dropped here: :func:`_score` scores a failed chunk again
     in the calling process, which raises it there.
     """
     try:
-        return evaluate(base, plans, hp, cp)
+        return _min_rows(evaluate(base, plans, hp, cp))
     except Exception:
         return None
 
@@ -413,13 +425,13 @@ class _Worker:
 
 def _score(
     draw: Callable[[int, int], np.ndarray], size: int, base, hp, cp, workers: list[_Worker]
-) -> tuple[list[np.ndarray], list[ObjectiveVector]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``size`` plans and score them as the module docstring's chunk rule says.
 
     ``draw(a, b)`` gives plans ``a`` to ``b`` of the batch as one (b - a,
     n_var) array, and is called once per chunk in plan order. Returns the
-    plans, each an array of its own, and their objectives, both in plan
-    order.
+    plans as one (size, n_var) array and their all-minimize objectives as
+    one (size, 3) array, both in plan order.
     """
     pairs = (size + 1) // 2
     busy = workers[: pairs - 1]
@@ -431,52 +443,69 @@ def _score(
     chunks.append(draw(cuts[-2], size))
     own = _scores_or_none(base, chunks[-1], hp, cp)
     replies = [worker.receive() for worker in busy] + [own]
-    scores = []
-    for chunk, reply in zip(chunks, replies):
-        # evaluate is pure, so a failed chunk raises here as it did where it was scored
-        scores += evaluate(base, chunk, hp, cp) if reply is None else reply
-    # a copy per plan, so that survivors do not keep their whole chunk alive
-    plans = [row.copy() for chunk in chunks for row in chunk]
-    return plans, scores
+    for i, chunk in enumerate(chunks):
+        if replies[i] is None:
+            # evaluate is pure, so a failed chunk raises here as it did where it was scored
+            replies[i] = _min_rows(evaluate(base, chunk, hp, cp))
+    return np.concatenate(chunks), np.concatenate(replies)
 
 
 def _offspring(
-    population: list[Individual], k: int, cfg: OptimizerConfig, rng: np.random.Generator
+    plans: np.ndarray,
+    rank: np.ndarray,
+    crowding: np.ndarray,
+    k: int,
+    cfg: OptimizerConfig,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """``k`` offspring by tournament, SBX and mutation, as one (k, n_var) array.
+    """``k`` offspring of the population ``plans`` by tournament, SBX and
+    mutation, as one (k, n_var) array.
 
     Each pair takes its draws from ``rng`` in the order of
-    :func:`sbx_crossover` and :func:`polynomial_mutation` called pair by
-    pair: two tournaments, the crossover coin, the crossed and spread
-    draws of a pair that crosses, then each child's mutation draws. Only
-    the arithmetic is batched, one :func:`_sbx` over the pairs and one
-    :func:`_mutate` over the children. With ``k`` odd, the last pair's
-    second child is dropped, and its mutation is not drawn.
+    :func:`tournament_select`, :func:`sbx_crossover` and
+    :func:`polynomial_mutation` called pair by pair, the tournaments
+    reading each row's ``rank`` and ``crowding``: two tournaments, the
+    crossover coin, the crossed and spread draws of a pair that crosses,
+    then each child's mutation draws. Only the arithmetic is batched, one
+    :func:`_sbx` over the pairs and one :func:`_mutate` over the children.
+    With ``k`` odd, the last pair's second child is dropped, and its
+    mutation is not drawn.
     """
-    n_var = population[0].plan.shape[0]
+    n, n_var = plans.shape
     pairs = (k + 1) // 2
-    parents = np.empty((pairs, 2, n_var))
-    crossed_draw = np.empty((pairs, n_var))
-    spread = np.empty((pairs, n_var))
-    mutate_draw = np.empty((k, n_var))
-    u = np.empty((k, n_var))
+    rank, crowding = rank.tolist(), crowding.tolist()
+    integers, random = rng.integers, rng.random
+    picks = []
+    # per pair: its crossed draws, then its spread draws
+    cross_draws = np.empty((pairs, 2, n_var))
+    # per child: its mutate draws, then its perturbation draws
+    mutation_draws = np.empty((pairs, 2, 2, n_var))
     crosses = []
     for p in range(pairs):
-        parents[p, 0] = tournament_select(population, rng).plan
-        parents[p, 1] = tournament_select(population, rng).plan
-        if rng.random() < cfg.crossover_probability:
-            rng.random(out=crossed_draw[len(crosses)])
-            rng.random(out=spread[len(crosses)])
+        for _ in range(2):
+            i = integers(n)
+            j = integers(n)
+            if rank[i] != rank[j]:
+                picks.append(i if rank[i] < rank[j] else j)
+            elif crowding[i] != crowding[j]:
+                picks.append(i if crowding[i] > crowding[j] else j)
+            else:
+                picks.append(i if random() < 0.5 else j)
+        if random() < cfg.crossover_probability:
+            random(out=cross_draws[len(crosses)])
             crosses.append(p)
-        for row in range(2 * p, min(2 * p + 2, k)):
-            rng.random(out=mutate_draw[row])
-            rng.random(out=u[row])
+        # an odd batch's last pair draws for its first child alone
+        random(out=mutation_draws[p, : k - 2 * p])
+    parents = plans[picks].reshape(pairs, 2, n_var)
     if crosses:
         m = len(crosses)
         parents[crosses, 0], parents[crosses, 1] = _sbx(
-            parents[crosses, 0], parents[crosses, 1], crossed_draw[:m], spread[:m], cfg
+            parents[crosses, 0], parents[crosses, 1], cross_draws[:m, 0], cross_draws[:m, 1], cfg
         )
-    return _mutate(parents.reshape(2 * pairs, n_var)[:k], mutate_draw, u, cfg)
+    mutation_draws = mutation_draws.reshape(2 * pairs, 2, n_var)[:k]
+    return _mutate(
+        parents.reshape(2 * pairs, n_var)[:k], mutation_draws[:, 0], mutation_draws[:, 1], cfg
+    )
 
 
 def run_nsga2(
@@ -509,7 +538,12 @@ def run_nsga2(
     largest = max(cfg.population_size, cfg.offspring_size if cfg.generations else 0)
     processes = min(_usable_cpus(), (largest + 1) // 2)
     workers: list[_Worker] = []
-    population: list[Individual] = []
+    # the population, one row each; members[i] is row i's Individual once
+    # it has been on the front
+    plans = np.empty((0, n_var))
+    objs = np.empty((0, 3))
+    born = np.empty(0, dtype=np.int64)
+    members: list[Optional[Individual]] = []
     history: list[GenerationStats] = []
     try:
         while len(workers) < processes - 1:
@@ -525,12 +559,19 @@ def run_nsga2(
                 draw = lambda a, b: initial[a:b]
             else:
                 size = cfg.offspring_size
-                draw = lambda a, b: _offspring(population, b - a, cfg, rng)
-            plans, scores = _score(draw, size, base, hp, cp, workers)
-            newborn = [Individual(p, s, born=generation) for p, s in zip(plans, scores)]
-            population = _select_survivors(population + newborn, cfg.population_size)
-            front = [m for m in population if m.rank == 0]
-            stats = _front_stats(generation, front, (time.perf_counter() - t0) * 1000.0)
+                draw = lambda a, b: _offspring(plans, rank, crowding, b - a, cfg, rng)
+            new_plans, new_objs = _score(draw, size, base, hp, cp, workers)
+            objs = np.concatenate([objs, new_objs])
+            keep, rank, crowding = _select_survivors(objs, cfg.population_size)
+            objs = objs[keep]
+            plans = np.concatenate([plans, new_plans])[keep]
+            born = np.concatenate([born, np.full(size, generation)])[keep]
+            merged = members + [None] * size
+            members = [merged[i] for i in keep.tolist()]
+            # survivors come front by front, so the rank-0 front leads
+            front = _front_members(members, plans, objs, born, crowding[rank == 0])
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            stats = _front_stats(generation, objs[: len(front)], wall_ms)
             history.append(stats)
             if on_generation is not None:
                 on_generation(generation, front, stats)
@@ -540,6 +581,19 @@ def run_nsga2(
     archive = ParetoArchive(front, cfg, history, n_var, cfg.mutation_rate(n_var), processes)
     _verify_archive(archive)
     return archive
+
+
+def _front_members(members, plans, objs, born, crowding: np.ndarray) -> list[Individual]:
+    """The Individuals of the population's leading rows, one per entry of
+    their ``crowding``, built for rows that have none with a copy of the
+    row's plan; each gets its crowding distance."""
+    for i, c in enumerate(crowding.tolist()):
+        if members[i] is None:
+            path, v_max, cost = objs[i].tolist()
+            objectives = ObjectiveVector(int(-path), v_max, cost)
+            members[i] = Individual(plans[i].copy(), objectives, born=int(born[i]))
+        members[i].crowding = c
+    return members[: len(crowding)]
 
 
 def _verify_archive(archive: ParetoArchive) -> None:

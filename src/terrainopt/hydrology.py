@@ -358,14 +358,15 @@ def fill_depressions(dem: Grid, epsilon: float = 1e-5) -> Grid:
     idempotent. The surface is bit for bit that of a priority flood popping
     by (elevation, row-major index), computed by repeated sweeps (Planchon
     & Darboux 2002); a drainage path that spirals needs about one sweep
-    pass per turn.
+    pass per turn. An ``epsilon`` of -0.0 fills as +0.0, the zero that
+    :class:`HydroParams` keeps.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     if dem.n_valid == 0:
         raise ValueError("grid has no valid cells")
     seeds = _edge_and_nodata_adjacent(dem.valid_mask)
-    filled = _fill(dem.values[None], dem.valid_mask, seeds, float(epsilon))[0]
+    filled = _fill(dem.values[None], dem.valid_mask, seeds, float(epsilon) + 0.0)[0]
     return dem.with_values(filled)
 
 

@@ -208,9 +208,14 @@ def _evaluate_stack(base, plans, hp, cp) -> list[ObjectiveVector] | None:
     v = _manning_velocity(s, acc, valid, hp, cp.cell_area)
     if not (np.isfinite(s[:, valid]).all() and np.isfinite(v[:, valid]).all()):
         return None
+    # earthwork_cost plan by plan, one sum each, under one errstate for the stack
+    with np.errstate(over="ignore"):
+        costs = [float(m.sum() * cp.cell_area * cp.unit_price) for m in np.abs(plans)]
+    if np.inf in costs:
+        return None
     return [
-        ObjectiveVector(int(n), float(v_max), earthwork_cost(plan, cp))
-        for n, v_max, plan in zip(path_cells, _valid_max(v, valid), plans)
+        ObjectiveVector(int(n), float(v_max), cost)
+        for n, v_max, cost in zip(path_cells, _valid_max(v, valid), costs)
     ]
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .settings import _format_value, _require_finite
+from .settings import _format_value
 
 __all__ = [
     "Grid",

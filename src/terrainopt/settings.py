@@ -24,12 +24,19 @@ def _format_value(x: float) -> str:
     return repr(x)
 
 
-def _require_finite(params) -> None:
-    """Raise ValueError naming the first float field of a dataclass that is inf or NaN."""
+def _settle_floats(params) -> None:
+    """Check the float fields of a frozen dataclass, and give each one zero.
+
+    Raises ValueError naming the first field that is inf or NaN. A -0.0
+    becomes +0.0 (``value + 0.0``), so equal settings act alike and a
+    manifest, which writes either zero as ``0``, reads back the same bits.
+    """
     for f in fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            object.__setattr__(params, f.name, value + 0.0)
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,7 @@ class HydroParams:
     slope_as_percent: bool = False
 
     def __post_init__(self):
-        _require_finite(self)
+        _settle_floats(self)
         if not self.manning_n > 0:
             raise ValueError("manning_n must be > 0")
         if not self.channel_width > 0:
@@ -75,7 +82,7 @@ class CostParams:
     cell_area: float = 100.0
 
     def __post_init__(self):
-        _require_finite(self)
+        _settle_floats(self)
         if not self.unit_price > 0:
             raise ValueError("unit_price must be > 0")
         if not self.cell_area > 0:
@@ -107,7 +114,7 @@ class OptimizerConfig:
     snapshot_generations: tuple[int, ...] = (50, 100, 200, 300)
 
     def __post_init__(self):
-        _require_finite(self)
+        _settle_floats(self)
         if self.population_size <= 0 or self.offspring_size <= 0:
             raise ValueError("population_size and offspring_size must be > 0")
         if self.generations < 0:

@@ -4,9 +4,10 @@ Everything here is written against the definitions, not against the
 library code paths: path tracing instead of topological accumulation,
 pairwise scans instead of fast non-dominated sorting, Dijkstra-style
 minimax spill search instead of priority flooding, and scalar math
-instead of vectorized numpy. ``serial_children`` is the exception: it is
-the child-by-child loop over the library's scalar operators that the
-chunk-batched offspring drawer must reproduce.
+instead of vectorized numpy. ``serial_children`` and ``select_survivors``
+are the exceptions: the child-by-child loop over the library's scalar
+operators that the chunk-batched offspring drawer must reproduce, and the
+survival over ``Individual`` objects that the array survival replaced.
 """
 import heapq
 import math
@@ -18,6 +19,8 @@ import numpy as np
 from terrainopt.evolve import (
     Individual,
     OptimizerConfig,
+    crowding_distance,
+    non_dominated_sort,
     polynomial_mutation,
     sbx_crossover,
     tournament_select,
@@ -298,6 +301,31 @@ def serial_children(
         c1, c2 = sbx_crossover(pa.plan, pb.plan, cfg, rng)
         yield polynomial_mutation(c1, cfg, rng)
         yield polynomial_mutation(c2, cfg, rng)
+
+
+def select_survivors(merged: list[Individual], target: int) -> list[Individual]:
+    """(mu+lambda) survival: whole fronts, then crowding-truncated partial front.
+
+    Assigns rank and crowding on every individual it touches.
+    """
+    objs = np.array([m.objectives.as_min_array() for m in merged])
+    fronts = non_dominated_sort(objs)
+    survivors: list[Individual] = []
+    for rank, front in enumerate(fronts):
+        crowd = crowding_distance(objs[front])
+        for idx, c in zip(front, crowd):
+            merged[idx].rank = rank
+            merged[idx].crowding = float(c)
+        if len(survivors) + len(front) <= target:
+            survivors.extend(merged[i] for i in front)
+            if len(survivors) == target:
+                break
+        else:
+            need = target - len(survivors)
+            order = np.argsort(-crowd, kind="stable")
+            survivors.extend(merged[front[i]] for i in order[:need])
+            break
+    return survivors
 
 
 def brute_fronts(objs: np.ndarray) -> list[list[int]]:

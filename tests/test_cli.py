@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import terrainopt
 import terrainopt.evolve as evolve
@@ -583,6 +585,10 @@ def _unchanged_fields(cfg, default, prefix=""):
     return names
 
 
+def either_zero_or(values):
+    return st.sampled_from([0.0, -0.0]) | values
+
+
 class TestConfigSchema:
     def test_manifest_round_trips_every_field(self, tmp_path):
         cfg = RunConfig(
@@ -621,6 +627,59 @@ class TestConfigSchema:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("\n".join(_manifest_lines(cfg)) + "\n")
         assert build_run_config(read_flat_config(manifest)) == cfg
+
+    @staticmethod
+    def float_bits(cfg):
+        """Every float setting of a RunConfig, by name, as its bytes (so -0.0 is not 0.0)."""
+        owners = {"top": cfg, "hydro": cfg.hydro, "cost": cfg.cost, "optimizer": cfg.optimizer}
+        bits = {}
+        for key in _SCHEMA:
+            value = getattr(owners[key.target], key.field)
+            for i, v in enumerate(value if isinstance(value, tuple) else [value]):
+                if isinstance(v, float):
+                    bits[f"{key.name}[{i}]"] = struct.pack("<d", v)
+        return bits
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        positive=st.lists(st.floats(1e-300, 1e300), min_size=8, max_size=8),
+        unit=st.lists(either_zero_or(st.floats(0.0, 1.0)), min_size=3, max_size=3),
+        gradient=st.lists(either_zero_or(st.floats(0.0, 1e3)), min_size=4, max_size=4),
+        bounds=st.lists(either_zero_or(st.floats(-1e300, 1e300)), min_size=2, max_size=2),
+        auto_mutation=st.booleans(),
+    )
+    def test_property_float_settings_keep_their_bits_through_the_manifest(
+        self, tmp_path_factory, positive, unit, gradient, bounds, auto_mutation
+    ):
+        # either zero may be given; the setting holds +0.0, which the manifest
+        # writes as 0 and reads back bit for bit
+        lower, upper = sorted(bounds)
+        assume(lower < upper)
+        cfg = RunConfig(
+            hydro=HydroParams(
+                manning_n=positive[0],
+                channel_width=positive[1],
+                rain_intensity=gradient[0],
+                accumulation_threshold_fraction=max(unit[0], 1e-300),
+                fill_epsilon=gradient[1],
+            ),
+            cost=CostParams(unit_price=positive[2], cell_area=positive[3]),
+            optimizer=OptimizerConfig(
+                crossover_probability=unit[1],
+                crossover_eta=gradient[2],
+                mutation_probability=None if auto_mutation else unit[2],
+                mutation_eta=gradient[3],
+                lower_bound=lower,
+                upper_bound=upper,
+            ),
+            weights=tuple(positive[4:7]),
+            rho=positive[7],
+        )
+        manifest = tmp_path_factory.mktemp("manifest") / "manifest.txt"
+        manifest.write_text("\n".join(_manifest_lines(cfg)) + "\n")
+        back = build_run_config(read_flat_config(manifest))
+        assert self.float_bits(back) == self.float_bits(cfg)
+        assert not any(bits == struct.pack("<d", -0.0) for bits in self.float_bits(cfg).values())
 
     def test_default_manifest_text(self):
         cfg = RunConfig(dem_path="site.asc", output_dir="runs/a")

@@ -40,6 +40,7 @@ from oracles import (
     full_polynomial_mutation,
     full_sbx_crossover,
     scalar_dominates,
+    select_survivors,
     serial_children,
 )
 
@@ -155,6 +156,25 @@ class TestNonDominatedSort:
         seen = np.concatenate([f for f in fronts])
         assert sorted(seen.tolist()) == list(range(40))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        objs=st.integers(1, 40).flatmap(
+            lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=n, max_size=n)
+        ),
+        data=st.data(),
+    )
+    def test_at_least_gives_the_leading_fronts(self, objs, data):
+        # few values per objective: ties and duplicate rows
+        objs = np.array(objs, dtype=np.float64)
+        at_least = data.draw(st.integers(0, len(objs) + 2))
+        full = [f.tolist() for f in non_dominated_sort(objs)]
+        fronts = [f.tolist() for f in non_dominated_sort(objs, at_least=at_least)]
+        assert fronts == full[: len(fronts)]
+        sizes = [len(f) for f in fronts]
+        # enough rows, and not one front more than that takes
+        assert sum(sizes) >= min(at_least, len(objs))
+        assert sum(sizes[:-1]) < at_least or not fronts
+
 
 class TestCrowdingDistance:
     def test_two_member_front_all_infinite(self):
@@ -181,6 +201,29 @@ class TestCrowdingDistance:
         for j in range(3):
             assert np.isinf(d[np.argmin(objs[:, j])])
             assert np.isinf(d[np.argmax(objs[:, j])])
+
+
+class TestSelectSurvivors:
+    VALUES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 4.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        vectors=st.lists(
+            st.tuples(st.integers(0, 3), VALUES, VALUES), min_size=1, max_size=40
+        ).flatmap(lambda vs: st.lists(st.sampled_from(vs), min_size=1, max_size=40)),
+        data=st.data(),
+    )
+    def test_matches_object_survival(self, vectors, data):
+        # drawn from a few distinct vectors, so rows repeat and objectives tie
+        target = data.draw(st.integers(1, len(vectors)))
+        merged = [individual(v) for v in vectors]
+        want = select_survivors(merged, target)
+        objs = np.array([m.objectives.as_min_array() for m in merged])
+        keep, rank, crowding = evolve._select_survivors(objs, target)
+        row = {id(m): i for i, m in enumerate(merged)}
+        assert keep.tolist() == [row[id(m)] for m in want]
+        assert rank.tolist() == [m.rank for m in want]
+        assert crowding.tobytes() == np.array([m.crowding for m in want]).tobytes()
 
 
 class TestTournament:
@@ -355,7 +398,10 @@ class TestOffspringChunks:
         cuts = sorted(min(c, size) // 2 * 2 for c in cuts)
         sizes = [b - a for a, b in zip([0, *cuts], [*cuts, size])]
         ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        chunks = [evolve._offspring(population, k, cfg, ours) for k in sizes]
+        chunks = [
+            evolve._offspring(plans, np.array(ranks), np.array(ranks, dtype=float), k, cfg, ours)
+            for k in sizes
+        ]
         assert [chunk.shape for chunk in chunks] == [(k, n_var) for k in sizes]
         want = np.array(list(islice(serial_children(population, cfg, theirs), size)))
         assert np.concatenate(chunks).tobytes() == want.tobytes()
@@ -432,6 +478,20 @@ class TestRunLoop:
         run_nsga2(self.BASE, HP, CP, self.CFG, on_generation=record)
         assert len(seen) == self.CFG.generations + 1
         assert all(seen)
+
+    def test_front_members_carry_rank_and_crowding_of_their_generation(self):
+        checked = []
+
+        def record(gen, front, stats):
+            # a front that was not truncated is whole, in row order, as survival saw it
+            if len(front) < self.CFG.population_size:
+                objs = np.array([m.objectives.as_min_array() for m in front])
+                assert [m.rank for m in front] == [0] * len(front)
+                assert [m.crowding for m in front] == crowding_distance(objs).tolist()
+                checked.append(gen)
+
+        run_nsga2(self.BASE, HP, CP, self.CFG, on_generation=record)
+        assert len(checked) > self.CFG.generations // 2
 
     def test_history_front_sizes_match_callback(self):
         sizes = []
@@ -510,10 +570,18 @@ class TestParallelScoring:
         assert (serial.processes, parallel.processes) == (1, processes)
 
     def test_archive_plans_own_their_data(self, monkeypatch):
-        # a plan that viewed its chunk would keep the whole chunk alive
-        archive = self.run_on(monkeypatch, 2)
-        assert archive.processes == 2
-        assert all(m.plan.base is None for m in archive.members)
+        # a plan that viewed its chunk or the population's plan array would
+        # keep the whole array alive
+        for processes in (1, 2):
+            fronts = []
+            monkeypatch.setattr(evolve, "_usable_cpus", lambda: processes)
+            archive = run_nsga2(
+                self.BASE, HP, CP, self.CFG, on_generation=lambda g, front, s: fronts.append(front)
+            )
+            assert archive.processes == processes
+            assert len(fronts) == self.CFG.generations + 1
+            assert all(m.plan.base is None for front in fronts for m in front)
+            assert all(m.plan.base is None for m in archive.members)
 
     def test_process_count_capped_by_largest_batch(self, monkeypatch):
         # one process per SBX pair of the largest batch at most
@@ -586,7 +654,7 @@ class TestParallelScoring:
         with pytest.raises(ValueError, match="a later chunk failed") as excinfo:
             self.run_on(monkeypatch, 2, cfg=cfg)
         assert excinfo.value.__cause__ is None
-        assert len(replies) == 1 and len(replies[0]) == 2 and replies[0][0].cost == 0.0
+        assert len(replies) == 1 and len(replies[0]) == 2 and replies[0][0, 2] == 0.0
         assert multiprocessing.active_children() == []
 
     def test_failing_worker_chunk_raised_before_this_process_chunk(self, monkeypatch):

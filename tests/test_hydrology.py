@@ -208,6 +208,16 @@ class TestFillDepressions:
         filled = fill_depressions(g, epsilon).values
         assert np.array_equal(filled.view(np.int64), reference_fill(g, epsilon).view(np.int64))
 
+    def test_negative_zero_epsilon_fills_as_the_flood_on_signed_zeros(self):
+        # a flood at -0.0 would let a raised zero take the sign of the zero
+        # that floored it, in pop order; an epsilon of -0.0 fills as +0.0
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            shape = tuple(rng.integers(4, 13, size=2))
+            g = Grid(rng.choice([-2.0, -1.0, -0.0, 0.0], size=shape), 10.0)
+            filled = fill_depressions(g, -0.0).values
+            assert filled.tobytes() == reference_fill(g, 0.0).tobytes(), f"trial {trial}"
+
     def test_fill_past_the_float_range_raises_without_warning(self):
         values = np.full((3, 3), 1e308)
         values[1, 1] = 0.0
