@@ -71,7 +71,12 @@ class FlowCycleError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowField:
-    """Per-cell D8 direction codes over a grid; outlets and nodata carry 0."""
+    """Per-cell D8 direction codes over a grid; outlets and nodata carry 0.
+
+    Every code is checked here: a power of two or 0, 0 at nodata, and
+    pointing at a cell of the grid. So the kernels that route over codes
+    (:func:`_accumulate`) check none of this again.
+    """
 
     codes: np.ndarray
     grid: Grid
@@ -84,6 +89,9 @@ class FlowField:
             raise ValueError("nodata cells must carry the outlet code 0")
         if not _IS_CODE[codes].all():
             raise ValueError("direction codes must be powers of two (or 0 for outlets)")
+        rows, cols = np.indices(codes.shape) + (_CODE_DR[codes], _CODE_DC[codes])
+        if not ((rows >= 0) & (rows < codes.shape[0]) & (cols >= 0) & (cols < codes.shape[1])).all():
+            raise ValueError("direction code points outside the grid")
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
 
@@ -298,12 +306,11 @@ def _fill(z, valid, seeds, epsilon):
     depth plus one: two on rough terrain before the sparse finish, about
     one per turn of a spiralling drainage path.
 
-    The one exception is ``epsilon = -0.0``, the only epsilon that adds
-    to -0.0 without changing its sign: a cell raised to 0 copies the zero
-    of the neighbor that lowered it, sign bit included, so its sign
-    depends on the order of the updates and may differ from the flood's.
-    There only the dense passes run, so that the order stays that of the
-    passes.
+    ``epsilon`` is +0.0 or positive; the callers settle an epsilon of
+    -0.0 to +0.0 (:func:`fill_depressions`, :class:`HydroParams`). At
+    -0.0, the one epsilon that adds to -0.0 without changing its sign, a
+    cell raised to 0 would copy the zero of the neighbor that lowered it,
+    so its sign bit would follow the order of the updates.
 
     Only finite elevations take the sparse finish. The fill ends on any
     input, as a pass that lowers no cell is the last. A +inf elevation
@@ -319,7 +326,7 @@ def _fill(z, valid, seeds, epsilon):
     for view in buffers.z_views:
         view[...] = z_inf
     filled, swept = np.where(seeds, z_inf, np.inf), buffers.swept
-    sparse = bool(np.isfinite(z).all()) and math.copysign(1.0, epsilon) > 0
+    sparse = bool(np.isfinite(z).all())
     # a cell raised past the float range fills to inf, as in the flood; the
     # callers report it as a non-finite grid
     previous = swept.size
@@ -361,8 +368,8 @@ def fill_depressions(dem: Grid, epsilon: float = 1e-5) -> Grid:
     pass per turn. An ``epsilon`` of -0.0 fills as +0.0, the zero that
     :class:`HydroParams` keeps.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     if dem.n_valid == 0:
         raise ValueError("grid has no valid cells")
     seeds = _edge_and_nodata_adjacent(dem.valid_mask)
@@ -449,40 +456,34 @@ _CODE_DC = np.zeros(256, dtype=np.int64)
 _CODE_DR[D8_CODES], _CODE_DC[D8_CODES] = np.array(NEIGHBOR_OFFSETS).T
 
 
-def _downstream_indices(codes: np.ndarray) -> np.ndarray:
-    """Flat index of each cell's receiving neighbor within its plane, -1 for outlets/nodata.
-
-    Each (h, w) plane of ``codes`` comes back as one row of h * w indices.
-    """
-    h, w = codes.shape[-2:]
-    tr = np.arange(h)[:, None] + _CODE_DR[codes]
-    tc = np.arange(w) + _CODE_DC[codes]
-    if (tr < 0).any() or (tr >= h).any() or (tc < 0).any() or (tc >= w).any():
-        raise ValueError("direction code points outside the grid")
-    return np.where(codes != OUTLET, tr * w + tc, -1).reshape(codes.shape[:-2] + (h * w,))
-
-
-def _accumulate(ds: np.ndarray) -> np.ndarray:
-    """Upstream cell counts for each row of a (B, n) array of downstream indices.
+def _accumulate(codes: np.ndarray) -> np.ndarray:
+    """Upstream cell counts of each plane of a (B, h, w) stack of D8 codes.
 
     Pointer jumping (Wyllie 1979; Hillis & Steele 1986) over the whole
-    stack: cells point at their receivers in one flat array, outlets and
-    nodata at one shared sink. Each round adds every count to the cell it
-    points at and squares the pointers, doubling the reach of both, until
-    all point at the sink. Counts are integers below 2**53, exact in
-    float64. No acyclic path is longer than n - 1 steps, so a pointer still
-    live after ceil(log2 n) rounds raises :class:`FlowCycleError`, naming
-    the cycle cells of the first such row.
+    stack: in one flat array, each cell points at its receiver, a fixed
+    step away for each code, and outlets and nodata at one shared sink.
+    Each round adds every count to the cell it points at and squares the
+    pointers, doubling the reach of both, until all point at the sink.
+    Counts are integers below 2**53, exact in float64. No acyclic path
+    over the n = h * w cells of a plane is longer than n - 1 steps, so a
+    pointer still live after ceil(log2 n) rounds raises
+    :class:`FlowCycleError`, naming the cycle cells of the first such
+    plane.
+
+    Precondition: no code points off its plane. :class:`FlowField`
+    rejects such a code and :func:`_d8_codes` makes none; one that did
+    would step into another plane, or past the sink.
     """
-    b, n = ds.shape
-    sink = b * n
-    jump = np.append(np.where(ds >= 0, ds + n * np.arange(b)[:, None], sink), sink)
+    b, h, w = codes.shape
+    n, sink, flat = h * w, codes.size, codes.reshape(-1)
+    step = _CODE_DR * w + _CODE_DC
+    jump = np.append(np.where(flat != OUTLET, np.arange(sink) + step[flat], sink), sink)
     counts = np.bincount(jump, minlength=sink + 1).astype(np.float64)
     rounds = (n - 1).bit_length()
     while True:
         counts[sink] = 0.0
         if jump.min() == sink:
-            return counts[:-1].reshape(b, n)
+            return counts[:-1].reshape(codes.shape)
         if not rounds:
             # every live pointer now lands on a cycle, and a cycle's own
             # pointers rotate it, so they name each of its cells exactly once
@@ -502,8 +503,7 @@ def flow_accumulation(ff: FlowField) -> Grid:
     the longest flow path. Raises :class:`FlowCycleError` if the directions
     contain a cycle, which signals an unfilled DEM.
     """
-    acc = _accumulate(_downstream_indices(ff.codes)[None])[0]
-    return ff.grid.with_values(acc.reshape(ff.grid.shape))
+    return ff.grid.with_values(_accumulate(ff.codes[None])[0])
 
 
 def _valid_max(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -676,8 +676,8 @@ def runoff_velocity(slope_grid: Grid, acc: Grid, params: HydroParams, cell_area:
     """
     if not slope_grid.congruent(acc):
         raise ValueError("slope and accumulation grids are not congruent")
-    if cell_area <= 0:
-        raise ValueError("cell_area must be > 0")
+    if not 0 < cell_area < math.inf:
+        raise ValueError("cell_area must be finite and > 0")
     return slope_grid.with_values(
         _manning_velocity(slope_grid.values, acc.values, slope_grid.valid_mask, params, cell_area)
     )

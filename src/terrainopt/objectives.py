@@ -15,6 +15,7 @@ external outputs always carry the un-negated values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +23,11 @@ import numpy as np
 from .hydrology import (
     _accumulate,
     _d8_codes,
-    _downstream_indices,
     _edge_and_nodata_adjacent,
     _fill,
     _flow_path,
     _horn_slope,
     _manning_velocity,
-    _valid_max,
 )
 # The Grid-level stages: evaluate runs a plan through them only to raise the
 # error of the stage where it fails, and perfbench's tracer looks these names
@@ -66,8 +65,8 @@ class ObjectiveVector:
     cost: float
 
     def __post_init__(self):
-        if self.path_cells < 0 or self.v_max < 0 or self.cost < 0:
-            raise ValueError("objective values must be non-negative")
+        if not (self.path_cells >= 0 and 0 <= self.v_max < math.inf and 0 <= self.cost < math.inf):
+            raise ValueError("objective values must be finite and non-negative")
 
     def as_min_array(self) -> np.ndarray:
         """All-minimize representation: (-path_cells, v_max, cost)."""
@@ -201,12 +200,11 @@ def _evaluate_stack(base, plans, hp, cp) -> list[ObjectiveVector] | None:
         return None
     filled = _fill(z, valid, _edge_and_nodata_adjacent(valid), float(hp.fill_epsilon))
     del z
-    acc = _accumulate(_downstream_indices(_d8_codes(filled, valid, base.cell_size)))
-    acc = acc.reshape(filled.shape)
+    acc = _accumulate(_d8_codes(filled, valid, base.cell_size))
     path_cells = _flow_path(acc, valid, hp.accumulation_threshold_fraction)[0].sum(axis=(1, 2))
     s = _horn_slope(filled, valid, base.cell_size)
-    v = _manning_velocity(s, acc, valid, hp, cp.cell_area)
-    if not (np.isfinite(s[:, valid]).all() and np.isfinite(v[:, valid]).all()):
+    v = _manning_velocity(s, acc, valid, hp, cp.cell_area)[:, valid]
+    if not (np.isfinite(s[:, valid]).all() and np.isfinite(v).all()):
         return None
     # earthwork_cost plan by plan, one sum each, under one errstate for the stack
     with np.errstate(over="ignore"):
@@ -215,7 +213,7 @@ def _evaluate_stack(base, plans, hp, cp) -> list[ObjectiveVector] | None:
         return None
     return [
         ObjectiveVector(int(n), float(v_max), cost)
-        for n, v_max, cost in zip(path_cells, _valid_max(v, valid), costs)
+        for n, v_max, cost in zip(path_cells, v.max(axis=1), costs)
     ]
 
 

@@ -452,6 +452,22 @@ class TestPick:
         costs = [float(r["cost"]) for r in sample_rows]
         assert costs == sorted(costs)
 
+    @pytest.mark.parametrize("column", ["v_max_mps", "cost"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_objective_is_corrupt(self, small_run, capsys, column, value):
+        _, run_dir = small_run
+        pareto = run_dir / "pareto.csv"
+        rows = read_csv(pareto)
+        rows[0][column] = value
+        with open(pareto, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
+        err = capsys.readouterr().err
+        assert f"corrupt run artifact: {pareto}, line 2" in err
+        assert "finite and non-negative" in err
+
     def test_corrupt_genome_detected(self, small_run, capsys):
         _, run_dir = small_run
         target = next((run_dir / "genomes").glob("member_*.asc"))

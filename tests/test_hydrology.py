@@ -25,7 +25,7 @@ from terrainopt import (
     synthetic_dem,
 )
 from terrainopt import hydrology
-from terrainopt.hydrology import _accumulate, _d8_codes, _downstream_indices, _fill
+from terrainopt.hydrology import _accumulate, _d8_codes, _fill
 
 from oracles import (
     CODE_TO_OFFSET,
@@ -230,6 +230,11 @@ class TestFillDepressions:
         with pytest.raises(ValueError, match="epsilon"):
             fill_depressions(east_plane, -1.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            fill_depressions(synthetic_dem(8, 8, seed=1), epsilon)
+
     @pytest.mark.parametrize("epsilon", [0.0, 1e-12, 1e-5, 0.3])
     def test_matches_reference_flood(self, epsilon):
         rng = np.random.default_rng(15)
@@ -397,7 +402,8 @@ class TestFlowDirections:
         assert set(np.unique(ff.codes)) <= {0, 1, 2, 4, 8, 16, 32, 64, 128}
 
 
-STACK_SHAPES = [(6, 6), (5, 8), (8, 5), (1, 1), (1, 7), (7, 1), (2, 2), (3, 1)]
+# 17x11 takes the fill's two-buffer sweep layout for non-square grids
+STACK_SHAPES = [(6, 6), (5, 8), (8, 5), (1, 1), (1, 7), (7, 1), (2, 2), (3, 1), (17, 11)]
 
 
 def planes_apart(rng, b, shape, nodata_fraction):
@@ -438,7 +444,7 @@ def sparse_seeds(rng, valid):
 
 
 class TestStackedKernels:
-    """_fill and _d8_codes on stacks of several planes, plane by plane against the oracles."""
+    """_fill, _d8_codes and _accumulate on stacks of several planes, plane by plane against the oracles."""
 
     @pytest.mark.parametrize("b", [2, 3, 5])
     @pytest.mark.parametrize("shape", STACK_SHAPES)
@@ -519,6 +525,22 @@ class TestStackedKernels:
                         k,
                     )
 
+    @pytest.mark.parametrize("b", [2, 3, 5])
+    @pytest.mark.parametrize("shape", STACK_SHAPES)
+    def test_accumulation_matches_oracle_per_plane(self, b, shape):
+        # a plane's pointers step to its receivers in one flat array over the
+        # stack, so a wrong step would count a cell of one plane in another
+        rng = np.random.default_rng([b, *shape, 9])
+        for trial in range(4):
+            z, valid = planes_apart(rng, b, shape, nodata_fraction=0.15 * (trial % 3))
+            for surface in (z, _fill(z, valid, exit_cells(valid), 1e-5)):
+                codes = _d8_codes(surface, valid, 10.0)
+                acc = _accumulate(codes)
+                assert acc.shape == codes.shape
+                for k in range(b):
+                    oracle = brute_accumulation(codes[k], valid).astype(np.float64)
+                    assert acc[k].tobytes() == oracle.tobytes(), (trial, k)
+
 
 class TestSparseFinish:
     """The fill's sparse finish, and its hand-back to the dense passes, plane by plane against the flood."""
@@ -554,10 +576,6 @@ class TestSparseFinish:
             # run, and the dense passes take over again
             (0.0, [False]),
             (1e-5, [False]),
-            # a cell raised to 0 at epsilon -0.0 takes the sign of its
-            # neighbor's zero, which depends on the order of the updates, so
-            # only dense passes run
-            (-0.0, []),
             # the spiral's steps of 0.3 drain slowly enough that no pass
             # lowers an eighth as many cells as the pass before it
             (0.3, []),
@@ -570,13 +588,13 @@ class TestSparseFinish:
         self.assert_matches_flood(z, np.ones(shape, dtype=bool), epsilon)
         assert finishes == expected
 
-    @pytest.mark.parametrize("epsilon", [0.0, -0.0, 1e-5, 0.3])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-5, 0.3])
     def test_synthetic_planes_end_in_the_sparse_finish(self, finishes, epsilon):
         z = np.array([synthetic_dem(40, 40, seed=k).values for k in range(3)])
         valid = np.ones((40, 40), dtype=bool)
         valid[10:14, 20:25] = False
         self.assert_matches_flood(z, valid, epsilon)
-        assert finishes == ([] if math.copysign(1.0, epsilon) < 0 else [True])
+        assert finishes == [True]
 
     def test_kept_buffers_follow_each_fills_mask_and_seeds(self, finishes, monkeypatch):
         # from no kept buffers, as in a fresh thread: the stacks are all
@@ -706,9 +724,9 @@ class TestFlowAccumulation:
     def test_cycle_in_the_second_plane_of_a_stack(self):
         # plane 0 drains east; plane 1 turns round its 2x2 block, a 4-cycle
         codes = np.array([[[1, 0], [1, 0]], [[1, 4], [64, 16]]], dtype=np.uint8)
-        assert _accumulate(_downstream_indices(codes[:1])).tolist() == [[0, 1, 0, 1]]
+        assert _accumulate(codes[:1]).tolist() == [[[0, 1], [0, 1]]]
         with pytest.raises(FlowCycleError, match=r"\(4 cells unresolved\)"):
-            _accumulate(_downstream_indices(codes))
+            _accumulate(codes)
 
     @pytest.mark.parametrize("shape", [(1, 2000), (2000, 1)])
     def test_single_path_ramp(self, shape):
@@ -727,11 +745,24 @@ class TestFlowAccumulation:
         if size == 40:
             assert np.array_equal(acc, brute_accumulation(codes, np.ones(codes.shape, bool)))
 
-    def test_off_grid_direction_rejected(self):
-        grid = Grid(np.array([[1.0, 1.0]]), 10.0)
-        codes = np.array([[16, 0]], dtype=np.uint8)  # west out of a west-edge cell
+    @pytest.mark.parametrize(
+        "cell, code",
+        [
+            pytest.param((1, 3), 1, id="E-off-the-last-column"),
+            pytest.param((2, 1), 4, id="S-off-the-last-row"),
+            pytest.param((1, 0), 16, id="W-off-the-first-column"),
+            pytest.param((0, 2), 64, id="N-off-the-first-row"),
+            pytest.param((0, 0), 32, id="NW-off-the-top-left-corner"),
+            pytest.param((2, 3), 2, id="SE-off-the-bottom-right-corner"),
+            pytest.param((0, 1), 128, id="NE-off-the-first-row-only"),
+        ],
+    )
+    def test_off_grid_direction_rejected(self, cell, code):
+        grid = Grid(np.ones((3, 4)), 10.0)
+        codes = np.zeros((3, 4), dtype=np.uint8)
+        codes[cell] = code
         with pytest.raises(ValueError, match="outside the grid"):
-            flow_accumulation(FlowField(codes, grid))
+            FlowField(codes, grid)
 
     def test_invalid_code_value_rejected(self):
         grid = Grid(np.array([[1.0, 1.0]]), 10.0)
@@ -907,6 +938,13 @@ class TestRunoffVelocity:
         q = 5 * 0.25 * 2.0
         assert v[0, 0] == pytest.approx(scalar_velocity(3.0, 0.1, q, 1.0), rel=1e-12)
         assert v[0, 1] == pytest.approx(10.0 ** 0.6 * scalar_velocity(1e307, 0.1, q, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("cell_area", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_area_rejected(self, cell_area):
+        g = synthetic_dem(8, 8, seed=1)
+        acc = flow_accumulation(flow_directions(fill_depressions(g)))
+        with pytest.raises(ValueError, match="cell_area must be finite and > 0"):
+            runoff_velocity(slope(g), acc, HydroParams(), cell_area)
 
     def test_incongruent_grids_rejected(self):
         sg = Grid(np.ones((2, 2)), 10.0)
