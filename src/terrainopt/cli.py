@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import math
 import sys
 from dataclasses import dataclass
@@ -293,8 +292,25 @@ def _load_dem(cfg: RunConfig) -> Grid:
     return dem
 
 
+def _environment_lines() -> list[str]:
+    """The manifest lines that record the environment a run ran in."""
+    import platform
+
+    import numpy as np
+
+    from .evolve import _usable_cpus
+
+    return [
+        f"result_cpus = {_usable_cpus()}",
+        f"result_python = {platform.python_version()}",
+        f"result_numpy = {np.__version__}",
+    ]
+
+
 def plan_checksum(plan: np.ndarray) -> str:
     """Stable 16-hex-digit digest of a plan's float64 little-endian bytes."""
+    import hashlib
+
     import numpy as np
 
     return hashlib.sha256(np.asarray(plan, dtype="<f8").tobytes()).hexdigest()[:16]
@@ -436,7 +452,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             run_dir / "picks", dem, archive, cfg.weights, cfg.rho, cfg.every_k
         )
     except Exception as exc:
-        _write_manifest(manifest, cfg, "partial", [f"error = {exc}"])
+        _write_manifest(manifest, cfg, "partial", [f"error = {exc}", *_environment_lines()])
         if isinstance(exc, OverflowError):
             # bounds and prices that let a plan's cost pass the float range
             raise ConfigError(f"{exc}; narrow the bounds or lower the prices") from exc
@@ -452,6 +468,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"result_archive_size = {len(archive.members)}",
             f"result_evaluations = {opt.population_size + opt.generations * opt.offspring_size}",
             f"result_processes = {archive.processes}",
+            *_environment_lines(),
         ],
     )
     for role, member_id, path_cells, v_max, cost in rows[:4]:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -330,7 +331,19 @@ class TestOptimize:
         manifest = read_flat_config(tmp_path / "run" / "manifest.txt")
         assert manifest["status"] == "partial"
         assert manifest["error"] == "grid values must be finite"
+        assert manifest["result_cpus"] == "2"
         assert "grid values must be finite" in capsys.readouterr().err
+
+    def test_manifest_records_the_environment(self, small_run):
+        _, run_dir = small_run
+        manifest = read_flat_config(run_dir / "manifest.txt")
+        assert manifest["result_cpus"] == str(evolve._usable_cpus())
+        assert manifest["result_python"] == platform.python_version()
+        assert manifest["result_numpy"] == np.__version__
+        # pick reads the manifest past these keys
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "repick")]) == 0
+        repicked = (run_dir / "repick" / "summary.csv").read_bytes()
+        assert repicked == (run_dir / "picks" / "summary.csv").read_bytes()
 
     def test_manifest_reusable_as_config(self, small_run):
         dem_path, run_dir = small_run

@@ -1,6 +1,7 @@
 """NSGA-II operators and the seeded main loop."""
 import dataclasses
 import hashlib
+import io
 import math
 import multiprocessing
 import os
@@ -24,7 +25,9 @@ from terrainopt import (
     OptimizerConfig,
     crowding_distance,
     dominates,
+    evaluate,
     non_dominated_sort,
+    plan_length,
     polynomial_mutation,
     run_nsga2,
     sbx_crossover,
@@ -708,6 +711,125 @@ class TestParallelScoring:
         assert archive.processes == 2
         assert threads == [1] * (self.CFG.generations + 1)
         assert multiprocessing.active_children() == []
+
+    def worker_affinities(self, monkeypatch):
+        """Each reading of the caller's CPU, and the workers' affinity masks
+        at each generation's end, of a run of CFG."""
+        here = []
+        current_cpu = evolve._current_cpu
+
+        def record_cpu():
+            here.append(current_cpu())
+            return here[-1]
+
+        seen = []
+
+        def record(gen, front, stats):
+            children = multiprocessing.active_children()
+            seen.append(sorted(sorted(os.sched_getaffinity(child.pid)) for child in children))
+
+        monkeypatch.setattr(evolve, "_current_cpu", record_cpu)
+        archive = run_nsga2(self.BASE, HP, CP, self.CFG, on_generation=record)
+        assert multiprocessing.active_children() == []
+        return here, seen, archive.processes
+
+    def test_each_worker_runs_on_one_cpu_the_caller_is_not_on(self, monkeypatch):
+        mask = getattr(os, "sched_getaffinity", lambda pid: set())(0)
+        if len(mask) < 2 or evolve._current_cpu() is None:
+            pytest.skip("needs two CPUs in the affinity mask and a readable CPU number")
+        here, seen, processes = self.worker_affinities(monkeypatch)
+        assert processes == min(len(mask), (self.CFG.population_size + 1) // 2)
+        # one reading, before any worker starts
+        assert len(here) == 1 and here[0] in mask
+        expected = [[cpu] for cpu in sorted(mask - {here[0]})[: processes - 1]]
+        assert seen == [expected] * (self.CFG.generations + 1)
+        assert os.sched_getaffinity(0) == mask
+
+    def test_workers_left_unplaced_where_the_caller_cpu_is_unknown(self, monkeypatch):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity masks on this platform")
+        mask = sorted(os.sched_getaffinity(0))
+        monkeypatch.setattr(evolve, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(evolve, "_current_cpu", lambda: None)
+        here, seen, processes = self.worker_affinities(monkeypatch)
+        assert (here, processes) == ([None], 3)
+        assert seen == [[mask, mask]] * (self.CFG.generations + 1)
+
+    def test_worker_cpus_skip_the_callers_cpu_and_cycle(self, monkeypatch):
+        monkeypatch.setattr(evolve.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(evolve, "_current_cpu", lambda: 2)
+        assert evolve._worker_cpus(3) == [0, 1, 3]
+        assert evolve._worker_cpus(1) == [0]
+        assert evolve._worker_cpus(5) == [0, 1, 3, 0, 1]
+        assert evolve._worker_cpus(0) == []
+
+    @pytest.mark.parametrize("mask, cpu", [({0, 1, 2, 3}, None), ({2}, 2), ({5}, None)])
+    def test_worker_cpus_unplaced_without_a_known_other_cpu(self, monkeypatch, mask, cpu):
+        monkeypatch.setattr(evolve.os, "sched_getaffinity", lambda pid: mask, raising=False)
+        monkeypatch.setattr(evolve, "_current_cpu", lambda: cpu)
+        assert evolve._worker_cpus(2) == [None, None]
+
+    def test_worker_cpus_unplaced_without_affinity_masks(self, monkeypatch):
+        monkeypatch.delattr(evolve.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(evolve, "_current_cpu", lambda: 0)
+        assert evolve._worker_cpus(2) == [None, None]
+
+    def test_worker_placement_reads_cpu_from_field_39(self, monkeypatch):
+        if evolve._current_cpu() is not None:
+            assert evolve._current_cpu() in os.sched_getaffinity(0)
+        # field k reads k; the command name holds a space and a parenthesis
+        stat = b"7 (a b) c) " + b" ".join(str(k).encode() for k in range(3, 53))
+        monkeypatch.setattr(evolve, "open", lambda *args: io.BytesIO(stat), raising=False)
+        assert evolve._current_cpu() == 39
+        monkeypatch.setattr(evolve, "open", lambda *args: io.BytesIO(b"7 (x) R 1 2"), raising=False)
+        assert evolve._current_cpu() is None
+
+        def missing(*args):
+            raise FileNotFoundError(args[0])
+
+        monkeypatch.setattr(evolve, "open", missing, raising=False)
+        assert evolve._current_cpu() is None
+
+    @pytest.mark.parametrize("cpu", [-1, 10**6])
+    def test_worker_whose_placement_fails_still_scores(self, monkeypatch, cpu):
+        # sched_setaffinity raises ValueError for -1 and OSError for a CPU
+        # the host does not have, in the worker, under every start method
+        serial = self.run_on(monkeypatch, 1)
+        monkeypatch.setattr(evolve, "_worker_cpus", lambda count: [cpu] * count)
+        for processes in (2, 3):
+            parallel = self.run_on(monkeypatch, processes)
+            assert parallel.processes == processes
+            assert multiprocessing.active_children() == []
+            assert stable_history(parallel) == stable_history(serial)
+            assert parallel.objectives_matrix().tobytes() == serial.objectives_matrix().tobytes()
+            assert [m.plan.tobytes() for m in parallel.members] == [
+                m.plan.tobytes() for m in serial.members
+            ]
+
+    def test_worker_serves_where_it_cannot_be_placed(self, monkeypatch):
+        # _serve runs in this process here, so sched_setaffinity is always patched
+        def refuse(pid, cpus):
+            raise PermissionError(1, "not permitted")
+
+        monkeypatch.setattr(evolve.os, "sched_setaffinity", refuse, raising=False)
+        plans = np.zeros((2, plan_length(self.BASE)))
+        replies = []
+
+        class Conn:
+            chunks = [plans]
+
+            def recv(self):
+                if not self.chunks:
+                    raise EOFError
+                return self.chunks.pop()
+
+            def send(self, reply):
+                replies.append(reply)
+
+        evolve._serve(Conn(), self.BASE, HP, CP, 0)
+        assert len(replies) == 1
+        want = evolve._min_rows(evaluate(self.BASE, plans, HP, CP))
+        assert replies[0].tobytes() == want.tobytes()
 
 
 class TestOptimizerConfig:

@@ -82,6 +82,16 @@ def test_help_and_usage_errors_without_numpy(argv, code):
     assert (normal.stdout if code == 0 else normal.stderr).startswith("usage: terrainopt")
 
 
+def test_help_leaves_hashlib_unloaded():
+    # only plan_checksum needs hashlib, whose import loads OpenSSL's _hashlib
+    done = probe(
+        "import sys\nfrom terrainopt.cli import main\n"
+        "try:\n    main(['--help'])\nexcept SystemExit:\n    pass\n"
+        "assert 'hashlib' not in sys.modules\n"
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_wrapped_names_resolve_before_any_command():
     script = (
         "import importlib, sys\n"
