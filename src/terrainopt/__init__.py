@@ -36,8 +36,8 @@ _EXPORTS = {
         "sbx_crossover", "tournament_select",
     ),
     "decision": (
-        "NormalizedFront", "aasf_pick", "aasf_scores", "best_per_objective",
-        "normalize_front", "sample_interval",
+        "NormalizedFront", "aasf_index", "aasf_pick", "aasf_scores", "best_indices",
+        "best_per_objective", "normalize_front", "sample_indices", "sample_interval",
     ),
     "synthetic": ("synthetic_dem",),
 }

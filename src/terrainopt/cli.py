@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass
 from importlib import import_module
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .settings import CostParams, HydroParams, OptimizerConfig, _format_value
 
@@ -39,10 +40,14 @@ __all__ = ["main", "RunConfig"]
 # globals from the package on first use, so --help and usage errors never
 # import numpy. The commands look them up as module globals, so a
 # replacement set on this module (a tracer wrapper, a test's monkeypatch)
-# is the one called.
+# is the one called. The commands pick by row index (aasf_index,
+# best_indices, sample_indices); the member-level aasf_pick,
+# best_per_objective and sample_interval stay resolvable here, where
+# perfbench's tracer wraps them.
 _PIPELINE = (
+    "aasf_index", "best_indices", "sample_indices",
     "aasf_pick", "best_per_objective", "sample_interval",
-    "GenerationStats", "Individual", "ParetoArchive", "history_csv", "run_nsga2",
+    "GenerationStats", "Individual", "history_csv", "run_nsga2",
     "accumulation_threshold", "extract_flow_path", "fill_depressions", "flow_accumulation",
     "flow_directions", "max_velocity", "runoff_velocity", "slope",
     "ObjectiveVector", "apply_plan", "grid_to_plan", "plan_to_grid",
@@ -316,11 +321,38 @@ def plan_checksum(plan: np.ndarray) -> str:
     return hashlib.sha256(np.asarray(plan, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> bytes:
+    """Write a CSV file; return the bytes written."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    data = text.getvalue().encode()
+    path.write_bytes(data)
+    return data
+
+
+# manifest key of a complete run's digest over every byte that pick checks
+_DIGEST_KEY = "result_archive_sha256"
+
+
+def _run_digest(parts: Iterable[bytes]) -> str:
+    """SHA-256 over ``parts`` in order: the DEM, pareto.csv, then each genome in row order.
+
+    Each part is framed by its 8-byte length, so no byte can move from one
+    part to the next without changing the digest.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    for data in parts:
+        digest.update(len(data).to_bytes(8, "little"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _genome_path(genomes: Path, member_id: int) -> Path:
+    return genomes / f"member_{member_id:04d}.asc"
 
 
 def _objective_row(o: ObjectiveVector) -> list[str]:
@@ -365,33 +397,50 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _export_selections(
-    out_dir: Path,
-    base: Grid,
-    archive: ParetoArchive,
-    weights,
-    rho: float,
-    every_k: int,
-) -> list[list[str]]:
-    """Write delta + modified-DEM rasters for all picks; return summary rows."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index_of = {id(m): i for i, m in enumerate(archive.members)}
-    best_path, best_vmax, best_cost = best_per_objective(archive)
-    selections = [
+def _choose_roles(objectives: list[ObjectiveVector], cfg: RunConfig) -> list[tuple[str, int]]:
+    """The decision picks as (role, member index), chosen from the objectives alone."""
+    import numpy as np
+
+    objs = np.array([o.as_min_array() for o in objectives])
+    best_path, best_vmax, best_cost = best_indices(objs)
+    roles = [
         ("best_path_cells", best_path),
         ("best_v_max", best_vmax),
         ("best_cost", best_cost),
-        ("balanced", aasf_pick(archive, weights, rho)),
+        ("balanced", aasf_index(objs, cfg.weights, cfg.rho)),
     ]
-    selections += [
-        (f"sample_{i:02d}", member)
-        for i, member in enumerate(sample_interval(archive, every_k))
+    roles += [
+        (f"sample_{n:02d}", i) for n, i in enumerate(sample_indices(objs[:, 2], cfg.every_k))
     ]
+    return roles
+
+
+def _write_picks(
+    out_dir: Path,
+    base: Grid,
+    roles: list[tuple[str, int]],
+    objectives: list[ObjectiveVector],
+    plans: dict[int, np.ndarray],
+    rendered: dict[tuple[str, int], bytes],
+) -> list[list[str]]:
+    """Write each role's delta and modified-DEM rasters and summary.csv; return the summary rows.
+
+    ``plans`` maps each picked member's index to its plan. ``rendered``
+    maps ("delta" or "dem", member index) to raster bytes already
+    rendered, and gains every raster rendered here, so a member picked
+    under several roles is rendered once.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for role, member in selections:
-        save_ascii_grid(out_dir / f"{role}_delta.asc", plan_to_grid(base, member.plan))
-        save_ascii_grid(out_dir / f"{role}_dem.asc", apply_plan(base, member.plan))
-        rows.append([role, str(index_of[id(member)])] + _objective_row(member.objectives))
+    for role, i in roles:
+        for kind, to_grid in (("delta", plan_to_grid), ("dem", apply_plan)):
+            path = out_dir / f"{role}_{kind}.asc"
+            data = rendered.get((kind, i))
+            if data is None:
+                rendered[kind, i] = save_ascii_grid(path, to_grid(base, plans[i]))
+            else:
+                path.write_bytes(data)
+        rows.append([role, str(i)] + _objective_row(objectives[i]))
     _write_csv(
         out_dir / "summary.csv",
         ["role", "member_id", "path_cells", "v_max_mps", "cost"],
@@ -435,10 +484,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                     )
 
     try:
+        dem_bytes = Path(cfg.dem_path).read_bytes()
         archive = run_nsga2(dem, cfg.hydro, cfg.cost, cfg.optimizer, on_generation)
         # wall time stays out of history.csv so equal seeds give equal bytes
         (run_dir / "history.csv").write_text(history_csv(archive.history))
-        _write_csv(
+        pareto_bytes = _write_csv(
             run_dir / "pareto.csv",
             ["id", "path_cells", "v_max_mps", "cost", "delta_checksum"],
             [
@@ -446,11 +496,23 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 for i, m in enumerate(archive.members)
             ],
         )
-        for i, member in enumerate(archive.members):
-            save_ascii_grid(genomes_dir / f"member_{i:04d}.asc", plan_to_grid(dem, member.plan))
-        rows = _export_selections(
-            run_dir / "picks", dem, archive, cfg.weights, cfg.rho, cfg.every_k
-        )
+        objectives = [m.objectives for m in archive.members]
+        roles = _choose_roles(objectives, cfg)
+        picked = {i for _, i in roles}
+        rendered = {}
+
+        def digest_parts():
+            yield dem_bytes
+            yield pareto_bytes
+            for i, member in enumerate(archive.members):
+                data = save_ascii_grid(_genome_path(genomes_dir, i), plan_to_grid(dem, member.plan))
+                if i in picked:  # a pick's delta raster is its genome
+                    rendered["delta", i] = data
+                yield data
+
+        archive_digest = _run_digest(digest_parts())
+        plans = {i: archive.members[i].plan for i in picked}
+        rows = _write_picks(run_dir / "picks", dem, roles, objectives, plans, rendered)
     except Exception as exc:
         _write_manifest(manifest, cfg, "partial", [f"error = {exc}", *_environment_lines()])
         if isinstance(exc, OverflowError):
@@ -468,6 +530,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"result_archive_size = {len(archive.members)}",
             f"result_evaluations = {opt.population_size + opt.generations * opt.offspring_size}",
             f"result_processes = {archive.processes}",
+            f"{_DIGEST_KEY} = {archive_digest}",
             *_environment_lines(),
         ],
     )
@@ -477,10 +540,66 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _pareto_row(pareto: Path, line_num: int, row: dict) -> tuple[int, ObjectiveVector, str]:
+    """One pareto.csv row as (member id, objectives, delta checksum)."""
+    try:
+        return (
+            int(row["id"]),
+            ObjectiveVector(
+                path_cells=int(row["path_cells"]),
+                v_max=float(row["v_max_mps"]),
+                cost=float(row["cost"]),
+            ),
+            row["delta_checksum"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"corrupt run artifact: {pareto}, line {line_num}: {exc}") from exc
+
+
+def _load_member(base: Grid, genomes: Path, member_id: int, checksum: str) -> np.ndarray:
+    """A member's plan from its genome raster, checked against the DEM's layout and its checksum."""
+    raster_path = _genome_path(genomes, member_id)
+    if not raster_path.exists():
+        raise InputError(f"missing run artifact: {raster_path}")
+    try:
+        plan = grid_to_plan(base, load_ascii_grid(raster_path))
+    except (OSError, ValueError) as exc:  # unreadable, malformed, or not at the DEM's layout
+        raise InputError(f"corrupt run artifact: {raster_path}: {exc}") from exc
+    if plan_checksum(plan) != checksum:
+        raise InputError(f"corrupt run artifact: {raster_path} fails its checksum")
+    return plan
+
+
+def _digest_matches(
+    digest: Optional[str], dem_path: Path, pareto: Path, genomes: Path, rows: list
+) -> bool:
+    """Whether the stored files hash to ``digest``; False where it is None or hashing fails."""
+
+    def parts():
+        yield dem_path.read_bytes()
+        yield pareto.read_bytes()
+        for _, row in rows:
+            yield _genome_path(genomes, int(row["id"])).read_bytes()
+
+    if digest is None:
+        return False
+    try:
+        return digest == _run_digest(parts())
+    except (OSError, KeyError, TypeError, ValueError):  # the full check reports it
+        return False
+
+
 def _load_archive(
     run_dir: Path, overrides: dict[str, str]
-) -> tuple[ParetoArchive, RunConfig, Grid]:
-    """The stored archive, the run's configuration and its base DEM."""
+) -> tuple[RunConfig, Grid, list[ObjectiveVector], list[tuple[str, int]], dict[int, np.ndarray]]:
+    """A stored run's configuration, base DEM, member objectives, picks and plans by member index.
+
+    Where the manifest's digest matches the stored DEM, pareto.csv and
+    genomes, the run is the one optimize wrote, and every member would
+    pass the checks below; then only the picked members' genomes are
+    read. Otherwise every member is read and checked in row order, and
+    the first fault found is reported.
+    """
     manifest = run_dir / "manifest.txt"
     pareto = run_dir / "pareto.csv"
     genomes = run_dir / "genomes"
@@ -499,39 +618,26 @@ def _load_archive(
             rows = [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"corrupt run artifact: {pareto}: {exc}") from exc
-    members = []
-    for line_num, row in rows:
-        try:
-            member_id = int(row["id"])
-            objectives = ObjectiveVector(
-                path_cells=int(row["path_cells"]),
-                v_max=float(row["v_max_mps"]),
-                cost=float(row["cost"]),
-            )
-            checksum = row["delta_checksum"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"corrupt run artifact: {pareto}, line {line_num}: {exc}") from exc
-        raster_path = genomes / f"member_{member_id:04d}.asc"
-        if not raster_path.exists():
-            raise InputError(f"missing run artifact: {raster_path}")
-        try:
-            plan = grid_to_plan(base, load_ascii_grid(raster_path))
-        except (OSError, ValueError) as exc:  # unreadable, malformed, or not at the DEM's layout
-            raise InputError(f"corrupt run artifact: {raster_path}: {exc}") from exc
-        if plan_checksum(plan) != checksum:
-            raise InputError(f"corrupt run artifact: {raster_path} fails its checksum")
-        members.append(Individual(plan=plan, objectives=objectives))
-    if not members:
+    if not rows:
         raise InputError(f"{pareto}: no archive members")
-    n_var = len(members[0].plan)
-    archive = ParetoArchive(
-        members=members,
-        config=cfg.optimizer,
-        history=[],
-        n_var=n_var,
-        mutation_probability=cfg.optimizer.mutation_rate(n_var),
-    )
-    return archive, cfg, base
+    if _digest_matches(stored.get(_DIGEST_KEY), Path(cfg.dem_path), pareto, genomes, rows):
+        try:
+            members = [_pareto_row(pareto, n, row) for n, row in rows]
+            objectives = [objective for _, objective, _ in members]
+            roles = _choose_roles(objectives, cfg)
+            plans = {}
+            for i in sorted({i for _, i in roles}):
+                member_id, _, checksum = members[i]
+                plans[i] = _load_member(base, genomes, member_id, checksum)
+            return cfg, base, objectives, roles, plans
+        except InputError:  # a file changed after hashing: report as the full check does
+            pass
+    objectives, plans = [], {}
+    for i, (line_num, row) in enumerate(rows):
+        member_id, objective, checksum = _pareto_row(pareto, line_num, row)
+        plans[i] = _load_member(base, genomes, member_id, checksum)
+        objectives.append(objective)
+    return cfg, base, objectives, _choose_roles(objectives, cfg), plans
 
 
 def cmd_pick(args: argparse.Namespace) -> int:
@@ -539,9 +645,9 @@ def cmd_pick(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise InputError(f"run directory not found: {run_dir}")
-    archive, cfg, base = _load_archive(run_dir, _flag_values(args))
+    cfg, base, objectives, roles, plans = _load_archive(run_dir, _flag_values(args))
     out_dir = Path(args.out) if args.out else run_dir / "picks"
-    rows = _export_selections(out_dir, base, archive, cfg.weights, cfg.rho, cfg.every_k)
+    rows = _write_picks(out_dir, base, roles, objectives, plans, {})
     for role, member_id, path_cells, v_max, cost in rows:
         print(f"{role}: id={member_id} path_cells={path_cells} v_max_mps={v_max} cost={cost}")
     return EXIT_OK

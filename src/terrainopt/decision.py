@@ -9,6 +9,11 @@ archive itself (degenerate objectives map to 0). Available picks:
   argmin; equal weights define the balanced solution,
 * :func:`sample_interval` - every k-th member along ascending cost.
 
+Each pick has a form on the all-minimize objective matrix that returns
+row indices (:func:`best_indices`, :func:`aasf_index`,
+:func:`sample_indices`), so a front can be picked from before any plan
+is at hand.
+
 Weights enter the AASF score as divisors, the usual achievement
 scalarizing convention: a small weight on an objective tightens its
 tolerance and pulls the pick toward that objective's optimum.
@@ -26,8 +31,11 @@ __all__ = [
     "normalize_front",
     "aasf_scores",
     "aasf_pick",
+    "aasf_index",
     "best_per_objective",
+    "best_indices",
     "sample_interval",
+    "sample_indices",
 ]
 
 
@@ -66,6 +74,12 @@ def aasf_scores(normalized: np.ndarray, weights, rho: float) -> np.ndarray:
     return scaled.max(axis=1) + rho * scaled.sum(axis=1)
 
 
+def aasf_index(objs: np.ndarray, weights=(1.0, 1.0, 1.0), rho: float = 1e-4) -> int:
+    """Row of an all-minimize objective matrix minimizing the AASF score; ties go to the first row."""
+    front = normalize_front(objs)
+    return int(np.argmin(aasf_scores(front.values, weights, rho)))
+
+
 def aasf_pick(archive: ParetoArchive, weights=(1.0, 1.0, 1.0), rho: float = 1e-4) -> Individual:
     """Archive member minimizing the AASF score; ties go to the first index.
 
@@ -75,9 +89,22 @@ def aasf_pick(archive: ParetoArchive, weights=(1.0, 1.0, 1.0), rho: float = 1e-4
     """
     if not archive.members:
         raise ValueError("archive is empty")
-    front = normalize_front(archive.objectives_matrix())
-    scores = aasf_scores(front.values, weights, rho)
-    return archive.members[int(np.argmin(scores))]
+    return archive.members[aasf_index(archive.objectives_matrix(), weights, rho)]
+
+
+def best_indices(objs: np.ndarray) -> tuple[int, int, int]:
+    """Rows of the single-objective optima of an all-minimize objective matrix.
+
+    Ties are broken by lowest cost (the last column), then by first row.
+    """
+    costs = objs[:, 2]
+
+    def argmin_with_ties(values: np.ndarray) -> int:
+        best = np.flatnonzero(values == values.min())
+        cheapest = best[costs[best] == costs[best].min()]
+        return int(cheapest[0])
+
+    return tuple(argmin_with_ties(objs[:, j]) for j in range(3))
 
 
 def best_per_objective(archive: ParetoArchive) -> tuple[Individual, Individual, Individual]:
@@ -87,15 +114,15 @@ def best_per_objective(archive: ParetoArchive) -> tuple[Individual, Individual, 
     """
     if not archive.members:
         raise ValueError("archive is empty")
-    objs = archive.objectives_matrix()
-    costs = objs[:, 2]
+    return tuple(archive.members[i] for i in best_indices(archive.objectives_matrix()))
 
-    def argmin_with_ties(values: np.ndarray) -> int:
-        best = np.flatnonzero(values == values.min())
-        cheapest = best[costs[best] == costs[best].min()]
-        return int(cheapest[0])
 
-    return tuple(archive.members[argmin_with_ties(objs[:, j])] for j in range(3))
+def sample_indices(costs: np.ndarray, k: int) -> list[int]:
+    """Every k-th index along ascending ``costs``, starting from the cheapest; ties keep index order."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    order = np.argsort(costs, kind="stable")
+    return [int(i) for i in order[::k]]
 
 
 def sample_interval(archive: ParetoArchive, k: int) -> list[Individual]:
@@ -104,8 +131,5 @@ def sample_interval(archive: ParetoArchive, k: int) -> list[Individual]:
     A 200-member archive with k=10 yields 20 solutions; short archives
     simply yield fewer.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     costs = np.array([m.objectives.cost for m in archive.members])
-    order = np.argsort(costs, kind="stable")
-    return [archive.members[int(i)] for i in order[::k]]
+    return [archive.members[i] for i in sample_indices(costs, k)]

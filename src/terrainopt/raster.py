@@ -251,7 +251,7 @@ def parse_ascii_grid(text: str) -> Grid:
     """
     raw_lines = text.splitlines()
     # (line_no, [tokens]) for non-blank lines
-    lines = [(i + 1, line.split()) for i, line in enumerate(raw_lines) if line.split()]
+    lines = [(i + 1, tokens) for i, line in enumerate(raw_lines) if (tokens := line.split())]
     pos = 0
 
     def next_header(expected: tuple[str, ...]):
@@ -337,9 +337,11 @@ def load_ascii_grid(path: str | Path) -> Grid:
     return parse_ascii_grid(Path(path).read_text())
 
 
-def save_ascii_grid(path: str | Path, grid: Grid) -> None:
-    """Write a grid to an ``.asc`` file."""
-    Path(path).write_text(write_ascii_grid(grid))
+def save_ascii_grid(path: str | Path, grid: Grid) -> bytes:
+    """Write a grid to an ``.asc`` file; return the bytes written."""
+    data = write_ascii_grid(grid).encode()
+    Path(path).write_bytes(data)
+    return data
 
 
 def neighbors8(grid: Grid, cell: CellIndex) -> list[tuple[CellIndex, float]]:

@@ -1,6 +1,7 @@
 """CLI subcommands: analyze, optimize, pick; exit codes and file contracts."""
 import csv
 import dataclasses
+import hashlib
 import math
 import multiprocessing
 import os
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import terrainopt
+import terrainopt.cli as cli
 import terrainopt.evolve as evolve
 from terrainopt import (
     CostParams,
@@ -88,6 +90,36 @@ def save_with_sentinel(path, dem, sentinel):
     """Write ``dem`` with its nodata cells spelled as ``sentinel``."""
     values = np.where(dem.valid_mask, dem.values, sentinel)
     save_ascii_grid(path, Grid(values, dem.cell_size, nodata_sentinel=sentinel))
+
+
+def strip_digest(run_dir):
+    """Remove the archive digest from a run's manifest, as in a run written before it."""
+    manifest = run_dir / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith("result_archive_sha256 =")]
+    assert len(kept) == len(lines) - 1
+    manifest.write_text("".join(kept))
+
+
+def genome_loads(monkeypatch):
+    """The names of the genome rasters the CLI parses from now on, in call order."""
+    loads = []
+    load = cli.load_ascii_grid
+
+    def counting(path):
+        if Path(path).parent.name == "genomes":
+            loads.append(Path(path).name)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_ascii_grid", counting)
+    return loads
+
+
+def assert_same_files(out_dir, reference_dir):
+    names = sorted(path.name for path in reference_dir.iterdir())
+    assert sorted(path.name for path in out_dir.iterdir()) == names
+    for name in names:
+        assert (out_dir / name).read_bytes() == (reference_dir / name).read_bytes(), name
 
 
 @pytest.fixture
@@ -313,6 +345,7 @@ class TestOptimize:
         assert "earthwork cost past the float range" in capsys.readouterr().err
         manifest = read_flat_config(tmp_path / "run" / "manifest.txt")
         assert manifest["status"] == "partial"
+        assert "result_archive_sha256" not in manifest
 
     def test_worker_failure_exits_4_with_partial_manifest(self, tmp_path, monkeypatch, capsys):
         # without the zero plan all four plans overflow to inf in apply_plan;
@@ -344,6 +377,22 @@ class TestOptimize:
         assert main(["pick", str(run_dir), "--out", str(run_dir / "repick")]) == 0
         repicked = (run_dir / "repick" / "summary.csv").read_bytes()
         assert repicked == (run_dir / "picks" / "summary.csv").read_bytes()
+
+    def test_manifest_records_the_archive_digest(self, small_run):
+        # the DEM, pareto.csv and each genome in row order, each framed by
+        # its length as an 8-byte little-endian count
+        dem_path, run_dir = small_run
+        manifest = read_flat_config(run_dir / "manifest.txt")
+        parts = [dem_path.read_bytes(), (run_dir / "pareto.csv").read_bytes()]
+        parts += [
+            (run_dir / "genomes" / f"member_{int(row['id']):04d}.asc").read_bytes()
+            for row in read_csv(run_dir / "pareto.csv")
+        ]
+        framed = b"".join(struct.pack("<Q", len(part)) + part for part in parts)
+        assert manifest["result_archive_sha256"] == hashlib.sha256(framed).hexdigest()
+        # read back as --config, the key is skipped like every result_ key
+        without = {k: v for k, v in manifest.items() if k != "result_archive_sha256"}
+        assert build_run_config(manifest) == build_run_config(without)
 
     def test_manifest_reusable_as_config(self, small_run):
         dem_path, run_dir = small_run
@@ -420,6 +469,82 @@ class TestPick:
         redone = {r["role"]: r["member_id"] for r in read_csv(run_dir / "repick" / "summary.csv")}
         assert redone["balanced"] == stored["balanced"]
         assert redone == stored
+
+    def test_digest_and_full_check_write_the_same_picks(self, small_run):
+        _, run_dir = small_run
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "digest")]) == 0
+        strip_digest(run_dir)
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "full")]) == 0
+        assert_same_files(run_dir / "digest", run_dir / "picks")
+        assert_same_files(run_dir / "full", run_dir / "picks")
+
+    def test_verified_run_parses_only_the_picked_genomes(self, small_run, monkeypatch):
+        _, run_dir = small_run
+        n_members = len(read_csv(run_dir / "pareto.csv"))
+        loads = genome_loads(monkeypatch)
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 0
+        picked = sorted({int(r["member_id"]) for r in read_csv(run_dir / "x" / "summary.csv")})
+        assert len(picked) < n_members
+        assert loads == [f"member_{i:04d}.asc" for i in picked]
+        loads.clear()
+        strip_digest(run_dir)
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "y")]) == 0
+        assert loads == [f"member_{i:04d}.asc" for i in range(n_members)]
+
+    def test_each_picked_member_is_rendered_once(self, small_run, monkeypatch):
+        _, run_dir = small_run
+        written = []
+        save = cli.save_ascii_grid
+
+        def counting(path, grid):
+            written.append(Path(path).name)
+            return save(path, grid)
+
+        monkeypatch.setattr(cli, "save_ascii_grid", counting)
+        config = ["--config", str(run_dir / "manifest.txt")]
+        assert main(["optimize", *config, "--out", str(run_dir / "redo")]) == 0
+        picked = {r["member_id"] for r in read_csv(run_dir / "redo" / "picks" / "summary.csv")}
+        # every genome, then each picked member's modified DEM; a pick's delta is its genome
+        n_members = len(read_csv(run_dir / "redo" / "pareto.csv"))
+        assert len(written) == n_members + len(picked)
+        written.clear()
+        assert main(["pick", str(run_dir / "redo"), "--out", str(run_dir / "x")]) == 0
+        assert len(written) == 2 * len(picked)
+        assert_same_files(run_dir / "x", run_dir / "picks")
+
+    def test_tampered_checksum_of_an_unpicked_member_exits_3(self, small_run, capsys):
+        _, run_dir = small_run
+        picked = {int(r["member_id"]) for r in read_csv(run_dir / "picks" / "summary.csv")}
+        pareto = run_dir / "pareto.csv"
+        rows = read_csv(pareto)
+        target = next(i for i in range(len(rows)) if i not in picked)
+        rows[target]["delta_checksum"] = "0" * 16
+        with open(pareto, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
+        raster = run_dir / "genomes" / f"member_{target:04d}.asc"
+        assert f"corrupt run artifact: {raster} fails its checksum" in capsys.readouterr().err
+
+    def test_dem_resaved_at_another_cell_size_exits_3(self, small_run, capsys):
+        dem_path, run_dir = small_run
+        save_ascii_grid(dem_path, dataclasses.replace(load_ascii_grid(dem_path), cell_size=5.0))
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
+        raster = run_dir / "genomes" / "member_0000.asc"
+        err = capsys.readouterr().err
+        assert f"corrupt run artifact: {raster}: delta raster is not congruent" in err
+
+    def test_genome_with_other_line_ends_picks_through_the_full_check(
+        self, small_run, monkeypatch
+    ):
+        _, run_dir = small_run
+        target = run_dir / "genomes" / "member_0000.asc"
+        target.write_bytes(target.read_bytes().replace(b"\n", b"\r\n"))
+        loads = genome_loads(monkeypatch)
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 0
+        assert len(loads) == len(read_csv(run_dir / "pareto.csv"))
+        assert_same_files(run_dir / "x", run_dir / "picks")
 
     def test_near_zero_weight_recovers_path_optimum(self, small_run):
         # a tiny weight tightens that objective's tolerance, so the AASF

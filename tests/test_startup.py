@@ -23,13 +23,14 @@ BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 STAR_NAMES = sorted("""
     CellIndex CostParams D8_CODES FlowCycleError FlowField GenerationStats Grid
     GridFormatError HydroParams Individual NormalizedFront OUTLET ObjectiveVector
-    OptimizerConfig ParetoArchive aasf_pick aasf_scores accumulation_threshold apply_plan
-    best_per_objective crowding_distance decision dominates earthwork_cost evaluate evolve
-    extract_flow_path fill_depressions flow_accumulation flow_directions grid_to_plan
-    history_csv hydrology load_ascii_grid max_velocity neighbors8 non_dominated_sort
-    normalize_front objectives parse_ascii_grid plan_length plan_to_grid
-    polynomial_mutation raster run_nsga2 runoff_velocity sample_interval save_ascii_grid
-    sbx_crossover slope synthetic synthetic_dem tournament_select write_ascii_grid
+    OptimizerConfig ParetoArchive aasf_index aasf_pick aasf_scores accumulation_threshold
+    apply_plan best_indices best_per_objective crowding_distance decision dominates
+    earthwork_cost evaluate evolve extract_flow_path fill_depressions flow_accumulation
+    flow_directions grid_to_plan history_csv hydrology load_ascii_grid max_velocity
+    neighbors8 non_dominated_sort normalize_front objectives parse_ascii_grid plan_length
+    plan_to_grid polynomial_mutation raster run_nsga2 runoff_velocity sample_indices
+    sample_interval save_ascii_grid sbx_crossover slope synthetic synthetic_dem
+    tournament_select write_ascii_grid
 """.split())
 
 # the numpy-backed names a benchmark tracer wraps on terrainopt.cli, by home module
