@@ -313,12 +313,16 @@ def _environment_lines() -> list[str]:
 
 
 def plan_checksum(plan: np.ndarray) -> str:
-    """Stable 16-hex-digit digest of a plan's float64 little-endian bytes."""
+    """Stable 16-hex-digit digest of a plan's float64 little-endian bytes, with -0.0 as +0.0.
+
+    A genome raster writes -0.0 as ``0``, so a plan and its genome share a checksum.
+    """
     import hashlib
 
     import numpy as np
 
-    return hashlib.sha256(np.asarray(plan, dtype="<f8").tobytes()).hexdigest()[:16]
+    settled = np.asarray(plan, dtype="<f8") + 0.0  # -0.0 + 0.0 is +0.0
+    return hashlib.sha256(np.asarray(settled, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> bytes:
@@ -574,31 +578,29 @@ def _digest_matches(
     digest: Optional[str], dem_path: Path, pareto: Path, genomes: Path, rows: list
 ) -> bool:
     """Whether the stored files hash to ``digest``; False where it is None or hashing fails."""
-
-    def parts():
-        yield dem_path.read_bytes()
-        yield pareto.read_bytes()
-        for _, row in rows:
-            yield _genome_path(genomes, int(row["id"])).read_bytes()
-
     if digest is None:
         return False
     try:
-        return digest == _run_digest(parts())
+        paths = [dem_path, pareto] + [_genome_path(genomes, int(row["id"])) for _, row in rows]
+        return digest == _run_digest(path.read_bytes() for path in paths)
     except (OSError, KeyError, TypeError, ValueError):  # the full check reports it
         return False
 
 
-def _load_archive(
-    run_dir: Path, overrides: dict[str, str]
-) -> tuple[RunConfig, Grid, list[ObjectiveVector], list[tuple[str, int]], dict[int, np.ndarray]]:
-    """A stored run's configuration, base DEM, member objectives, picks and plans by member index.
+def _load_archive(run_dir: Path, overrides: dict[str, str]) -> tuple[
+    RunConfig, Grid, list[ObjectiveVector], list[tuple[str, int]],
+    dict[int, np.ndarray], dict[tuple[str, int], bytes],
+]:
+    """A stored run's configuration, base DEM, member objectives, picks, plans and rasters.
 
-    Where the manifest's digest matches the stored DEM, pareto.csv and
-    genomes, the run is the one optimize wrote, and every member would
-    pass the checks below; then only the picked members' genomes are
-    read. Otherwise every member is read and checked in row order, and
-    the first fault found is reported.
+    The plans are keyed by member index, and the rasters as ``_write_picks``
+    takes them. Where the manifest's digest matches the stored DEM,
+    pareto.csv and genomes, the run is the one optimize wrote, and every
+    member would pass the checks below: the roles are chosen from the
+    objectives, only the picked members' genomes are read and checked,
+    and each one's bytes are its pick's delta raster. Otherwise each
+    member is read and checked right after its pareto.csv row, so the
+    first fault in row order is the one reported.
     """
     manifest = run_dir / "manifest.txt"
     pareto = run_dir / "pareto.csv"
@@ -620,24 +622,24 @@ def _load_archive(
         raise InputError(f"corrupt run artifact: {pareto}: {exc}") from exc
     if not rows:
         raise InputError(f"{pareto}: no archive members")
-    if _digest_matches(stored.get(_DIGEST_KEY), Path(cfg.dem_path), pareto, genomes, rows):
-        try:
-            members = [_pareto_row(pareto, n, row) for n, row in rows]
-            objectives = [objective for _, objective, _ in members]
-            roles = _choose_roles(objectives, cfg)
-            plans = {}
-            for i in sorted({i for _, i in roles}):
-                member_id, _, checksum = members[i]
-                plans[i] = _load_member(base, genomes, member_id, checksum)
-            return cfg, base, objectives, roles, plans
-        except InputError:  # a file changed after hashing: report as the full check does
-            pass
-    objectives, plans = [], {}
+    verified = _digest_matches(stored.get(_DIGEST_KEY), Path(cfg.dem_path), pareto, genomes, rows)
+    members, plans, rendered = [], {}, {}
     for i, (line_num, row) in enumerate(rows):
         member_id, objective, checksum = _pareto_row(pareto, line_num, row)
-        plans[i] = _load_member(base, genomes, member_id, checksum)
-        objectives.append(objective)
-    return cfg, base, objectives, _choose_roles(objectives, cfg), plans
+        members.append((member_id, objective, checksum))
+        if not verified:
+            plans[i] = _load_member(base, genomes, member_id, checksum)
+    objectives = [objective for _, objective, _ in members]
+    roles = _choose_roles(objectives, cfg)
+    if verified:
+        for i in sorted({i for _, i in roles}):
+            member_id, _, checksum = members[i]
+            plans[i] = _load_member(base, genomes, member_id, checksum)
+            try:  # a pick's delta raster is its genome, as optimize wrote it
+                rendered["delta", i] = _genome_path(genomes, member_id).read_bytes()
+            except OSError as exc:
+                raise InputError(f"corrupt run artifact: {exc}") from exc
+    return cfg, base, objectives, roles, plans, rendered
 
 
 def cmd_pick(args: argparse.Namespace) -> int:
@@ -645,9 +647,9 @@ def cmd_pick(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise InputError(f"run directory not found: {run_dir}")
-    cfg, base, objectives, roles, plans = _load_archive(run_dir, _flag_values(args))
+    cfg, base, objectives, roles, plans, rendered = _load_archive(run_dir, _flag_values(args))
     out_dir = Path(args.out) if args.out else run_dir / "picks"
-    rows = _write_picks(out_dir, base, roles, objectives, plans, {})
+    rows = _write_picks(out_dir, base, roles, objectives, plans, rendered)
     for role, member_id, path_cells, v_max, cost in rows:
         print(f"{role}: id={member_id} path_cells={path_cells} v_max_mps={v_max} cost={cost}")
     return EXIT_OK

@@ -25,9 +25,13 @@ from terrainopt import (
     Grid,
     HydroParams,
     OptimizerConfig,
+    grid_to_plan,
     load_ascii_grid,
+    parse_ascii_grid,
+    plan_to_grid,
     save_ascii_grid,
     synthetic_dem,
+    write_ascii_grid,
 )
 from terrainopt.cli import (
     _SCHEMA,
@@ -283,6 +287,22 @@ class TestOptimize:
             assert plan_checksum(plan) == row["delta_checksum"]
             assert np.all(np.abs(plan) <= 2.0)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0), min_size=9, max_size=9
+        )
+    )
+    def test_checksum_survives_the_genome_round_trip(self, values):
+        base = Grid(np.zeros((3, 3)), 10.0)
+        plan = np.array(values)
+        raster = parse_ascii_grid(write_ascii_grid(plan_to_grid(base, plan)))
+        assert plan_checksum(grid_to_plan(base, raster)) == plan_checksum(plan)
+        # a plan without -0.0 keeps the checksum of its own bytes
+        unsigned = plan + 0.0
+        digest = hashlib.sha256(unsigned.astype("<f8").tobytes()).hexdigest()[:16]
+        assert plan_checksum(unsigned) == digest
+
     def test_history_columns_and_rows(self, small_run):
         _, run_dir = small_run
         rows = read_csv(run_dir / "history.csv")
@@ -507,10 +527,73 @@ class TestPick:
         # every genome, then each picked member's modified DEM; a pick's delta is its genome
         n_members = len(read_csv(run_dir / "redo" / "pareto.csv"))
         assert len(written) == n_members + len(picked)
+        # a verified run's pick copies each delta from its genome and renders the modified DEMs
         written.clear()
         assert main(["pick", str(run_dir / "redo"), "--out", str(run_dir / "x")]) == 0
-        assert len(written) == 2 * len(picked)
+        assert len(written) == len(picked)
         assert_same_files(run_dir / "x", run_dir / "picks")
+        written.clear()
+        strip_digest(run_dir / "redo")
+        assert main(["pick", str(run_dir / "redo"), "--out", str(run_dir / "y")]) == 0
+        assert len(written) == 2 * len(picked)
+        assert_same_files(run_dir / "y", run_dir / "picks")
+
+    def test_verified_pick_delta_is_its_genome(self, small_run):
+        _, run_dir = small_run
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 0
+        rows = read_csv(run_dir / "x" / "summary.csv")
+        assert len(rows) >= 4
+        for row in rows:
+            genome = run_dir / "genomes" / f"member_{int(row['member_id']):04d}.asc"
+            delta = run_dir / "x" / f"{row['role']}_delta.asc"
+            assert delta.read_bytes() == genome.read_bytes(), row["role"]
+
+    def test_full_check_reports_the_first_fault_in_row_order(self, small_run, capsys):
+        # member 0's genome is missing and the last pareto.csv row is corrupt
+        _, run_dir = small_run
+        strip_digest(run_dir)
+        genome = run_dir / "genomes" / "member_0000.asc"
+        genome.unlink()
+        pareto = run_dir / "pareto.csv"
+        lines = pareto.read_text().splitlines()
+        assert len(lines) > 2
+        lines[-1] = "x" + lines[-1]
+        pareto.write_text("\n".join(lines) + "\n")
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
+        err = capsys.readouterr().err
+        assert f"missing run artifact: {genome}" in err
+        assert "pareto.csv" not in err
+
+    def test_picked_genome_changed_after_the_digest_matched_exits_3(
+        self, small_run, monkeypatch, capsys
+    ):
+        _, run_dir = small_run
+        member_id = int(read_csv(run_dir / "picks" / "summary.csv")[0]["member_id"])
+        target = run_dir / "genomes" / f"member_{member_id:04d}.asc"
+        grid = load_ascii_grid(target)
+        tampered = grid.values.copy()
+        row, col = np.argwhere(grid.valid_mask)[0]
+        tampered[row, col] += 0.5
+        save_ascii_grid(target, grid.with_values(tampered))
+        monkeypatch.setattr(cli, "_digest_matches", lambda *args: True)
+        loads = genome_loads(monkeypatch)
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
+        assert f"corrupt run artifact: {target} fails its checksum" in capsys.readouterr().err
+        assert loads[-1] == target.name
+        assert len(loads) < len(read_csv(run_dir / "pareto.csv"))
+
+    def test_picked_genome_removed_after_its_check_exits_3(self, small_run, monkeypatch, capsys):
+        _, run_dir = small_run
+        load_member = cli._load_member
+
+        def then_remove(base, genomes, member_id, checksum):
+            plan = load_member(base, genomes, member_id, checksum)
+            cli._genome_path(genomes, member_id).unlink()
+            return plan
+
+        monkeypatch.setattr(cli, "_load_member", then_remove)
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
+        assert "corrupt run artifact: " in capsys.readouterr().err
 
     def test_tampered_checksum_of_an_unpicked_member_exits_3(self, small_run, capsys):
         _, run_dir = small_run
@@ -545,6 +628,31 @@ class TestPick:
         assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 0
         assert len(loads) == len(read_csv(run_dir / "pareto.csv"))
         assert_same_files(run_dir / "x", run_dir / "picks")
+
+    def test_run_with_negative_zero_deltas_picks(self, tmp_path, monkeypatch):
+        # a genome raster writes -0.0 as 0, which the checksum must accept
+        run_nsga2 = cli.run_nsga2
+
+        def with_negative_zeros(*args, **kwargs):
+            archive = run_nsga2(*args, **kwargs)
+            for member in archive.members:
+                member.plan = member.plan.copy()
+                member.plan[::3] = -0.0
+            return archive
+
+        monkeypatch.setattr(cli, "run_nsga2", with_negative_zeros)
+        dem_path = tmp_path / "dem.asc"
+        save_ascii_grid(dem_path, synthetic_dem(6, 6, seed=5))
+        run_dir = tmp_path / "run"
+        assert main(
+            ["optimize", "--dem", str(dem_path), "--out", str(run_dir), "--seed", "7",
+             "--population", "8", "--offspring", "4", "--generations", "2"]
+        ) == 0
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "digest")]) == 0
+        strip_digest(run_dir)
+        assert main(["pick", str(run_dir), "--out", str(run_dir / "full")]) == 0
+        assert_same_files(run_dir / "digest", run_dir / "picks")
+        assert_same_files(run_dir / "full", run_dir / "picks")
 
     def test_near_zero_weight_recovers_path_optimum(self, small_run):
         # a tiny weight tightens that objective's tolerance, so the AASF
