@@ -47,7 +47,7 @@ __all__ = ["main", "RunConfig"]
 _PIPELINE = (
     "aasf_index", "best_indices", "sample_indices",
     "aasf_pick", "best_per_objective", "sample_interval",
-    "GenerationStats", "Individual", "history_csv", "run_nsga2",
+    "history_csv", "run_nsga2",
     "accumulation_threshold", "extract_flow_path", "fill_depressions", "flow_accumulation",
     "flow_directions", "max_velocity", "runoff_velocity", "slope",
     "ObjectiveVector", "apply_plan", "grid_to_plan", "plan_to_grid",
@@ -359,8 +359,10 @@ def _genome_path(genomes: Path, member_id: int) -> Path:
     return genomes / f"member_{member_id:04d}.asc"
 
 
-def _objective_row(o: ObjectiveVector) -> list[str]:
-    return [str(o.path_cells), _format_value(o.v_max), _format_value(o.cost)]
+def _objective_row(row) -> list[str]:
+    """The external-sense tokens of one all-minimize objective row (path negated)."""
+    path, v_max, cost = row
+    return [str(int(-path)), _format_value(v_max), _format_value(cost)]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -401,11 +403,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _choose_roles(objectives: list[ObjectiveVector], cfg: RunConfig) -> list[tuple[str, int]]:
-    """The decision picks as (role, member index), chosen from the objectives alone."""
-    import numpy as np
-
-    objs = np.array([o.as_min_array() for o in objectives])
+def _choose_roles(objs: np.ndarray, cfg: RunConfig) -> list[tuple[str, int]]:
+    """The decision picks as (role, member index), chosen from the all-minimize objectives alone."""
     best_path, best_vmax, best_cost = best_indices(objs)
     roles = [
         ("best_path_cells", best_path),
@@ -423,13 +422,14 @@ def _write_picks(
     out_dir: Path,
     base: Grid,
     roles: list[tuple[str, int]],
-    objectives: list[ObjectiveVector],
-    plans: dict[int, np.ndarray],
+    objs: np.ndarray,
+    plans,
     rendered: dict[tuple[str, int], bytes],
 ) -> list[list[str]]:
     """Write each role's delta and modified-DEM rasters and summary.csv; return the summary rows.
 
-    ``plans`` maps each picked member's index to its plan. ``rendered``
+    ``objs`` is the all-minimize objective matrix of the members, and
+    ``plans[i]`` the plan of each picked member ``i``. ``rendered``
     maps ("delta" or "dem", member index) to raster bytes already
     rendered, and gains every raster rendered here, so a member picked
     under several roles is rendered once.
@@ -444,7 +444,7 @@ def _write_picks(
                 rendered[kind, i] = save_ascii_grid(path, to_grid(base, plans[i]))
             else:
                 path.write_bytes(data)
-        rows.append([role, str(i)] + _objective_row(objectives[i]))
+        rows.append([role, str(i)] + _objective_row(objs[i].tolist()))
     _write_csv(
         out_dir / "summary.csv",
         ["role", "member_id", "path_cells", "v_max_mps", "cost"],
@@ -457,6 +457,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     _bind_pipeline()
     cfg = _config_from_args(args)
     dem = _load_dem(cfg)
+    # so that the manifest names the DEM from any directory pick runs in
+    cfg.dem_path = str(Path(cfg.dem_path).absolute())
     run_dir = Path(cfg.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     genomes_dir = run_dir / "genomes"
@@ -464,7 +466,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     snapshots = set(cfg.optimizer.snapshot_generations)
     manifest = run_dir / "manifest.txt"
 
-    def on_generation(gen: int, front: list[Individual], stats: GenerationStats) -> None:
+    def on_generation(gen: int, front: ParetoArchive, stats: GenerationStats) -> None:
         print(
             f"[gen {gen:4d}] front {stats.front_size:4d} | "
             f"path_cells {stats.path_cells_max} | v_max {stats.v_max_min:.6g} | "
@@ -477,15 +479,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             _write_csv(
                 snap_dir / f"front_gen{gen:04d}.csv",
                 ["path_cells", "v_max_mps", "cost"],
-                [_objective_row(m.objectives) for m in front],
+                [_objective_row(row) for row in front.objectives.tolist()],
             )
             if cfg.write_snapshot_rasters:
                 raster_dir = snap_dir / f"gen{gen:04d}"
                 raster_dir.mkdir(exist_ok=True)
-                for i, member in enumerate(front):
-                    save_ascii_grid(
-                        raster_dir / f"member_{i:04d}.asc", plan_to_grid(dem, member.plan)
-                    )
+                for i, plan in enumerate(front.plans):
+                    save_ascii_grid(raster_dir / f"member_{i:04d}.asc", plan_to_grid(dem, plan))
 
     try:
         dem_bytes = Path(cfg.dem_path).read_bytes()
@@ -496,27 +496,27 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             run_dir / "pareto.csv",
             ["id", "path_cells", "v_max_mps", "cost", "delta_checksum"],
             [
-                [str(i)] + _objective_row(m.objectives) + [plan_checksum(m.plan)]
-                for i, m in enumerate(archive.members)
+                [str(i)] + _objective_row(row) + [plan_checksum(plan)]
+                for i, (row, plan) in enumerate(zip(archive.objectives.tolist(), archive.plans))
             ],
         )
-        objectives = [m.objectives for m in archive.members]
-        roles = _choose_roles(objectives, cfg)
+        roles = _choose_roles(archive.objectives, cfg)
         picked = {i for _, i in roles}
         rendered = {}
 
         def digest_parts():
             yield dem_bytes
             yield pareto_bytes
-            for i, member in enumerate(archive.members):
-                data = save_ascii_grid(_genome_path(genomes_dir, i), plan_to_grid(dem, member.plan))
+            for i, plan in enumerate(archive.plans):
+                data = save_ascii_grid(_genome_path(genomes_dir, i), plan_to_grid(dem, plan))
                 if i in picked:  # a pick's delta raster is its genome
                     rendered["delta", i] = data
                 yield data
 
         archive_digest = _run_digest(digest_parts())
-        plans = {i: archive.members[i].plan for i in picked}
-        rows = _write_picks(run_dir / "picks", dem, roles, objectives, plans, rendered)
+        rows = _write_picks(
+            run_dir / "picks", dem, roles, archive.objectives, archive.plans, rendered
+        )
     except Exception as exc:
         _write_manifest(manifest, cfg, "partial", [f"error = {exc}", *_environment_lines()])
         if isinstance(exc, OverflowError):
@@ -531,7 +531,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         [
             f"result_n_var = {archive.n_var}",
             f"result_mutation_probability = {_format_value(archive.mutation_probability)}",
-            f"result_archive_size = {len(archive.members)}",
+            f"result_archive_size = {len(archive.objectives)}",
             f"result_evaluations = {opt.population_size + opt.generations * opt.offspring_size}",
             f"result_processes = {archive.processes}",
             f"{_DIGEST_KEY} = {archive_digest}",
@@ -544,18 +544,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pareto_row(pareto: Path, line_num: int, row: dict) -> tuple[int, ObjectiveVector, str]:
-    """One pareto.csv row as (member id, objectives, delta checksum)."""
+def _pareto_row(pareto: Path, line_num: int, row: dict) -> tuple[int, np.ndarray, str]:
+    """One pareto.csv row as (member id, all-minimize objectives, delta checksum).
+
+    ObjectiveVector checks the objective values.
+    """
     try:
-        return (
-            int(row["id"]),
-            ObjectiveVector(
-                path_cells=int(row["path_cells"]),
-                v_max=float(row["v_max_mps"]),
-                cost=float(row["cost"]),
-            ),
-            row["delta_checksum"],
-        )
+        member_id = int(row["id"])
+        o = ObjectiveVector(int(row["path_cells"]), float(row["v_max_mps"]), float(row["cost"]))
+        return member_id, o.as_min_array(), row["delta_checksum"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"corrupt run artifact: {pareto}, line {line_num}: {exc}") from exc
 
@@ -588,20 +585,23 @@ def _digest_matches(
 
 
 def _load_archive(run_dir: Path, overrides: dict[str, str]) -> tuple[
-    RunConfig, Grid, list[ObjectiveVector], list[tuple[str, int]],
+    RunConfig, Grid, np.ndarray, list[tuple[str, int]],
     dict[int, np.ndarray], dict[tuple[str, int], bytes],
 ]:
-    """A stored run's configuration, base DEM, member objectives, picks, plans and rasters.
+    """A stored run's configuration, base DEM, objective matrix, picks, plans and rasters.
 
-    The plans are keyed by member index, and the rasters as ``_write_picks``
-    takes them. Where the manifest's digest matches the stored DEM,
-    pareto.csv and genomes, the run is the one optimize wrote, and every
-    member would pass the checks below: the roles are chosen from the
-    objectives, only the picked members' genomes are read and checked,
-    and each one's bytes are its pick's delta raster. Otherwise each
-    member is read and checked right after its pareto.csv row, so the
-    first fault in row order is the one reported.
+    The objective matrix is all-minimize, the plans are keyed by member
+    index, and the rasters as ``_write_picks`` takes them. Where the
+    manifest's digest matches the stored DEM, pareto.csv and genomes, the
+    run is the one optimize wrote, and every member would pass the checks
+    below: the roles are chosen from the objectives, only the picked
+    members' genomes are read and checked, and each one's bytes are its
+    pick's delta raster. Otherwise each member is read and checked right
+    after its pareto.csv row, so the first fault in row order is the one
+    reported.
     """
+    import numpy as np
+
     manifest = run_dir / "manifest.txt"
     pareto = run_dir / "pareto.csv"
     genomes = run_dir / "genomes"
@@ -629,8 +629,8 @@ def _load_archive(run_dir: Path, overrides: dict[str, str]) -> tuple[
         members.append((member_id, objective, checksum))
         if not verified:
             plans[i] = _load_member(base, genomes, member_id, checksum)
-    objectives = [objective for _, objective, _ in members]
-    roles = _choose_roles(objectives, cfg)
+    objs = np.array([objective for _, objective, _ in members])
+    roles = _choose_roles(objs, cfg)
     if verified:
         for i in sorted({i for _, i in roles}):
             member_id, _, checksum = members[i]
@@ -639,7 +639,7 @@ def _load_archive(run_dir: Path, overrides: dict[str, str]) -> tuple[
                 rendered["delta", i] = _genome_path(genomes, member_id).read_bytes()
             except OSError as exc:
                 raise InputError(f"corrupt run artifact: {exc}") from exc
-    return cfg, base, objectives, roles, plans, rendered
+    return cfg, base, objs, roles, plans, rendered
 
 
 def cmd_pick(args: argparse.Namespace) -> int:
@@ -647,9 +647,9 @@ def cmd_pick(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise InputError(f"run directory not found: {run_dir}")
-    cfg, base, objectives, roles, plans, rendered = _load_archive(run_dir, _flag_values(args))
+    cfg, base, objs, roles, plans, rendered = _load_archive(run_dir, _flag_values(args))
     out_dir = Path(args.out) if args.out else run_dir / "picks"
-    rows = _write_picks(out_dir, base, roles, objectives, plans, rendered)
+    rows = _write_picks(out_dir, base, roles, objs, plans, rendered)
     for role, member_id, path_cells, v_max, cost in rows:
         print(f"{role}: id={member_id} path_cells={path_cells} v_max_mps={v_max} cost={cost}")
     return EXIT_OK

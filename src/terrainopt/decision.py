@@ -89,7 +89,7 @@ def aasf_pick(archive: ParetoArchive, weights=(1.0, 1.0, 1.0), rho: float = 1e-4
     """
     if not archive.members:
         raise ValueError("archive is empty")
-    return archive.members[aasf_index(archive.objectives_matrix(), weights, rho)]
+    return archive.members[aasf_index(archive.objectives, weights, rho)]
 
 
 def best_indices(objs: np.ndarray) -> tuple[int, int, int]:
@@ -114,7 +114,7 @@ def best_per_objective(archive: ParetoArchive) -> tuple[Individual, Individual, 
     """
     if not archive.members:
         raise ValueError("archive is empty")
-    return tuple(archive.members[i] for i in best_indices(archive.objectives_matrix()))
+    return tuple(archive.members[i] for i in best_indices(archive.objectives))
 
 
 def sample_indices(costs: np.ndarray, k: int) -> list[int]:
@@ -131,5 +131,4 @@ def sample_interval(archive: ParetoArchive, k: int) -> list[Individual]:
     A 200-member archive with k=10 yields 20 solutions; short archives
     simply yield fewer.
     """
-    costs = np.array([m.objectives.cost for m in archive.members])
-    return [archive.members[i] for i in sample_indices(costs, k)]
+    return [archive.members[i] for i in sample_indices(archive.objectives[:, 2], k)]

@@ -49,17 +49,18 @@ Selection state is held as arrays: the population's plans (N, n_var),
 its all-minimize objective matrix (N, 3) (see
 :meth:`~terrainopt.objectives.ObjectiveVector.as_min_array`), and each
 row's rank, crowding distance and generation of birth. Survival and
-tournaments read these arrays. :class:`Individual` objects, which carry
-the external senses, are built only for what the API hands out: the
-rank-0 front passed to the generation callback, and the archive. A
-member's object is built when it first reaches the front, with a copy
-of its plan, and is reused while it survives.
+tournaments read these arrays, and a front leaves the run as rows too:
+each generation's rank-0 front is a :class:`ParetoArchive` over that
+generation's rows, which no later generation writes. :class:`Individual`
+objects, which carry the external senses, are built only when a
+caller reads :attr:`ParetoArchive.members`.
 """
 from __future__ import annotations
 
 import os
 import time
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -115,26 +116,43 @@ _HISTORY_COLUMNS = [f.name for f in fields(GenerationStats) if f.name != "wall_m
 
 @dataclass(eq=False)
 class ParetoArchive:
-    """Final non-dominated set with its provenance.
+    """A rank-0 front, one row per member, with its provenance.
 
-    ``members`` is the rank-0 front of the final population; each member
-    records the generation it was created in (``born``). ``config``
-    echoes the settings, ``mutation_probability`` the value actually
-    used, and ``history`` one record per generation including the
-    initial population as generation 0. ``processes`` is the number of
-    processes that scored the largest batch (see :func:`run_nsga2`).
+    ``plans`` (k, n_var), the all-minimize ``objectives`` (k, 3) (see
+    :meth:`~terrainopt.objectives.ObjectiveVector.as_min_array`), ``born``
+    (k,), the generation each member was created in, and ``crowding``
+    (k,), its crowding distance within its front. ``config`` echoes the
+    settings, ``mutation_probability`` the value actually used, and
+    ``history`` one record per generation up to this front's, including
+    the initial population as generation 0. ``processes`` is the number
+    of processes that scored the largest batch (see :func:`run_nsga2`).
     """
 
-    members: list[Individual]
+    plans: np.ndarray
+    objectives: np.ndarray
+    born: np.ndarray
+    crowding: np.ndarray
     config: OptimizerConfig
     history: list[GenerationStats]
     n_var: int
     mutation_probability: float
     processes: int = 1
 
+    @cached_property
+    def members(self) -> list[Individual]:
+        """The rows as Individuals of rank 0, each with a copy of its plan.
+
+        Built on first access; every later access returns the same list.
+        """
+        rows = zip(self.plans, self.objectives.tolist(), self.crowding.tolist(), self.born.tolist())
+        return [
+            Individual(plan.copy(), ObjectiveVector(int(-path), v_max, cost), 0, crowding, born)
+            for plan, (path, v_max, cost), crowding, born in rows
+        ]
+
     def objectives_matrix(self) -> np.ndarray:
-        """(n, 3) all-minimize objective matrix of the members."""
-        return np.array([m.objectives.as_min_array() for m in self.members])
+        """(k, 3) all-minimize objective matrix of the members, as a new array."""
+        return self.objectives.copy()
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -350,7 +368,11 @@ def _front_stats(generation: int, front: np.ndarray, wall_ms: float) -> Generati
     )
 
 
-OnGeneration = Callable[[int, list[Individual], GenerationStats], None]
+# on_generation(generation, front, stats): ``front`` is the generation's
+# rank-0 front as a ParetoArchive of its own, over read-only views of that
+# generation's rows and a copy of the history up to it. A kept front never
+# changes, and its Individuals are built only when its members are read.
+OnGeneration = Callable[[int, ParetoArchive, GenerationStats], None]
 
 
 def _usable_cpus() -> int:
@@ -580,7 +602,8 @@ def run_nsga2(
     tournament + SBX + mutation. Each generation then scores its new
     plans, selects the next population from the survivors plus the new
     plans, and calls ``on_generation`` (if given) with the rank-0 front
-    and its stats.
+    and its stats (see :data:`OnGeneration`). Returns the last
+    generation's front, with arrays of its own.
 
     Each batch of new plans is scored on ``min(usable CPUs, pairs in the
     largest batch)`` processes: this one plus workers that receive the
@@ -595,13 +618,11 @@ def run_nsga2(
     streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.generations + 1)
     largest = max(cfg.population_size, cfg.offspring_size if cfg.generations else 0)
     processes = min(_usable_cpus(), (largest + 1) // 2)
+    rate = cfg.mutation_rate(n_var)
     workers: list[_Worker] = []
-    # the population, one row each; members[i] is row i's Individual once
-    # it has been on the front
     plans = np.empty((0, n_var))
     objs = np.empty((0, 3))
     born = np.empty(0, dtype=np.int64)
-    members: list[Optional[Individual]] = []
     history: list[GenerationStats] = []
     try:
         for cpu in _worker_cpus(processes - 1):
@@ -624,39 +645,29 @@ def run_nsga2(
             objs = objs[keep]
             plans = np.concatenate([plans, new_plans])[keep]
             born = np.concatenate([born, np.full(size, generation)])[keep]
-            merged = members + [None] * size
-            members = [merged[i] for i in keep.tolist()]
-            # survivors come front by front, so the rank-0 front leads
-            front = _front_members(members, plans, objs, born, crowding[rank == 0])
+            # survivors come front by front, so the rank-0 front leads; each
+            # generation makes new arrays, so these rows never change, and no
+            # callback may write through them into the population
+            rows = [a[: np.count_nonzero(rank == 0)] for a in (plans, objs, born, crowding)]
+            for a in rows:
+                a.flags.writeable = False
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            stats = _front_stats(generation, objs[: len(front)], wall_ms)
+            stats = _front_stats(generation, rows[1], wall_ms)
             history.append(stats)
             if on_generation is not None:
+                front = ParetoArchive(*rows, cfg, history[:], n_var, rate, processes)
                 on_generation(generation, front, stats)
     finally:
         for worker in workers:
             worker.stop()
-    archive = ParetoArchive(front, cfg, history, n_var, cfg.mutation_rate(n_var), processes)
+    archive = ParetoArchive(*(a.copy() for a in rows), cfg, history, n_var, rate, processes)
     _verify_archive(archive)
     return archive
 
 
-def _front_members(members, plans, objs, born, crowding: np.ndarray) -> list[Individual]:
-    """The Individuals of the population's leading rows, one per entry of
-    their ``crowding``, built for rows that have none with a copy of the
-    row's plan; each gets its crowding distance."""
-    for i, c in enumerate(crowding.tolist()):
-        if members[i] is None:
-            path, v_max, cost = objs[i].tolist()
-            objectives = ObjectiveVector(int(-path), v_max, cost)
-            members[i] = Individual(plans[i].copy(), objectives, born=int(born[i]))
-        members[i].crowding = c
-    return members[: len(crowding)]
-
-
 def _verify_archive(archive: ParetoArchive) -> None:
     """Exact internal-consistency check: no member dominates another."""
-    dom = _dominance(archive.objectives_matrix())
+    dom = _dominance(archive.objectives)
     if dom.any():
         i, j = np.argwhere(dom)[0]
         raise RuntimeError(f"archive inconsistency: member {i} dominates member {j}")

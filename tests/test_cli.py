@@ -387,6 +387,68 @@ class TestOptimize:
         assert manifest["result_cpus"] == "2"
         assert "grid values must be finite" in capsys.readouterr().err
 
+    def test_partial_manifest_records_an_absolute_dem_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_ascii_grid(tmp_path / "dem.asc", synthetic_dem(6, 6, seed=2))
+
+        def fail(*args):
+            raise RuntimeError("stopped")
+
+        monkeypatch.setattr(cli, "run_nsga2", fail)
+        assert main(["optimize", "--dem", "dem.asc", "--out", "run"]) == 4
+        manifest = read_flat_config(tmp_path / "run" / "manifest.txt")
+        assert manifest["status"] == "partial"
+        assert manifest["dem_path"] == str(tmp_path / "dem.asc")
+
+    @pytest.mark.parametrize(
+        "objectives, tokens",
+        [
+            ((0, 0.25, 3.5), ["0", "0.25", "3.5"]),  # path 0: the row holds -0.0
+            ((7, 5.0, 0.0), ["7", "5", "0"]),
+            ((2, 0.0, 5.0), ["2", "0", "5"]),
+            ((3, 1.5, 1e16), ["3", "1.5", "1e+16"]),
+            ((3, 1.5, 123456789012345678.0), ["3", "1.5", "1.2345678901234568e+17"]),
+            ((1, 5e-324, 2.0), ["1", "5e-324", "2"]),
+        ],
+    )
+    def test_objective_row_writes_the_external_tokens(self, objectives, tokens):
+        o = terrainopt.ObjectiveVector(*objectives)
+        row = o.as_min_array()
+        if o.path_cells == 0:
+            assert math.copysign(1.0, row[0]) == -1.0
+        # the tokens pareto.csv, the snapshots and summary.csv always held
+        assert [str(o.path_cells), _format_value(o.v_max), _format_value(o.cost)] == tokens
+        assert cli._objective_row(row.tolist()) == tokens
+        assert cli._objective_row(row) == tokens
+
+    def test_optimize_and_pick_build_no_individual(self, tmp_path, monkeypatch):
+        built = []
+        init = evolve.Individual.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(evolve.Individual, "__init__", counting)
+        dem_path = tmp_path / "dem.asc"
+        save_ascii_grid(dem_path, synthetic_dem(8, 8, seed=5))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("snapshot_generations = 0,2\nwrite_snapshot_rasters = true\n")
+        run_dir = tmp_path / "run"
+        assert main(
+            ["optimize", "--config", str(cfg), "--dem", str(dem_path), "--out", str(run_dir),
+             "--population", "12", "--offspring", "8", "--generations", "4"]
+        ) == 0
+        assert main(["pick", str(run_dir), "--out", str(tmp_path / "digest")]) == 0
+        strip_digest(run_dir)
+        assert main(["pick", str(run_dir), "--out", str(tmp_path / "full")]) == 0
+        assert built == []
+        # the count does see the Individuals an archive builds when asked
+        cfg = OptimizerConfig(population_size=6, offspring_size=4, generations=1)
+        archive = evolve.run_nsga2(synthetic_dem(6, 6, seed=2), HydroParams(), CostParams(), cfg)
+        assert built == []
+        assert len(archive.members) == len(built) > 0
+
     def test_manifest_records_the_environment(self, small_run):
         _, run_dir = small_run
         manifest = read_flat_config(run_dir / "manifest.txt")
@@ -635,10 +697,9 @@ class TestPick:
 
         def with_negative_zeros(*args, **kwargs):
             archive = run_nsga2(*args, **kwargs)
-            for member in archive.members:
-                member.plan = member.plan.copy()
-                member.plan[::3] = -0.0
-            return archive
+            plans = archive.plans.copy()
+            plans[:, ::3] = -0.0
+            return dataclasses.replace(archive, plans=plans)
 
         monkeypatch.setattr(cli, "run_nsga2", with_negative_zeros)
         dem_path = tmp_path / "dem.asc"
@@ -653,6 +714,25 @@ class TestPick:
         assert main(["pick", str(run_dir), "--out", str(run_dir / "full")]) == 0
         assert_same_files(run_dir / "digest", run_dir / "picks")
         assert_same_files(run_dir / "full", run_dir / "picks")
+
+    def test_run_with_a_relative_dem_picks_from_another_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_ascii_grid(tmp_path / "dem.asc", synthetic_dem(6, 6, seed=5))
+        assert main(
+            ["optimize", "--dem", "dem.asc", "--out", "run", "--population", "8",
+             "--offspring", "4", "--generations", "2"]
+        ) == 0
+        manifest = read_flat_config(tmp_path / "run" / "manifest.txt")
+        assert manifest["dem_path"] == str(tmp_path / "dem.asc")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        run_dir = tmp_path / "run"
+        assert main(["pick", str(run_dir), "--out", str(tmp_path / "digest")]) == 0
+        strip_digest(run_dir)
+        assert main(["pick", str(run_dir), "--out", str(tmp_path / "full")]) == 0
+        assert_same_files(tmp_path / "digest", run_dir / "picks")
+        assert_same_files(tmp_path / "full", run_dir / "picks")
 
     def test_near_zero_weight_recovers_path_optimum(self, small_run):
         # a tiny weight tightens that objective's tolerance, so the AASF

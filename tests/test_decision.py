@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from terrainopt import (
-    Individual,
     ObjectiveVector,
     OptimizerConfig,
     ParetoArchive,
@@ -17,12 +16,12 @@ from terrainopt import (
 
 def make_archive(rows):
     """Archive from (path_cells, v_max, cost) rows in external senses."""
-    members = [
-        Individual(plan=np.full(3, float(i)), objectives=ObjectiveVector(*row))
-        for i, row in enumerate(rows)
-    ]
+    k = len(rows)
     return ParetoArchive(
-        members=members,
+        plans=np.repeat(np.arange(k, dtype=float)[:, None], 3, axis=1),
+        objectives=np.array([ObjectiveVector(*row).as_min_array() for row in rows]),
+        born=np.zeros(k, dtype=np.int64),
+        crowding=np.zeros(k),
         config=OptimizerConfig(),
         history=[],
         n_var=3,

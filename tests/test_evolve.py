@@ -451,8 +451,11 @@ class TestRunLoop:
 
     def test_verify_archive_rejects_dominated_member(self):
         def archive(*objectives):
-            members = [Individual(np.zeros(2), ObjectiveVector(*o)) for o in objectives]
-            return ParetoArchive(members, self.CFG, [], 2, 0.5)
+            objs = np.array([ObjectiveVector(*o).as_min_array() for o in objectives])
+            k = len(objs)
+            return ParetoArchive(
+                np.zeros((k, 2)), objs, np.zeros(k, dtype=np.int64), np.zeros(k), self.CFG, [], 2, 0.5
+            )
 
         _verify_archive(archive((5, 1.0, 10.0), (5, 1.0, 10.0), (6, 2.0, 10.0)))  # ties only
         with pytest.raises(RuntimeError, match="member 2 dominates member 0"):
@@ -476,7 +479,7 @@ class TestRunLoop:
         seen = []
 
         def record(gen, front, stats):
-            seen.append(all(np.all(np.abs(m.plan) <= 2.0) for m in front))
+            seen.append(all(np.all(np.abs(m.plan) <= 2.0) for m in front.members))
 
         run_nsga2(self.BASE, HP, CP, self.CFG, on_generation=record)
         assert len(seen) == self.CFG.generations + 1
@@ -487,21 +490,84 @@ class TestRunLoop:
 
         def record(gen, front, stats):
             # a front that was not truncated is whole, in row order, as survival saw it
-            if len(front) < self.CFG.population_size:
-                objs = np.array([m.objectives.as_min_array() for m in front])
-                assert [m.rank for m in front] == [0] * len(front)
-                assert [m.crowding for m in front] == crowding_distance(objs).tolist()
+            if len(front.members) < self.CFG.population_size:
+                objs = np.array([m.objectives.as_min_array() for m in front.members])
+                assert [m.rank for m in front.members] == [0] * len(front.members)
+                assert [m.crowding for m in front.members] == crowding_distance(objs).tolist()
                 checked.append(gen)
 
         run_nsga2(self.BASE, HP, CP, self.CFG, on_generation=record)
         assert len(checked) > self.CFG.generations // 2
+
+    def test_kept_fronts_never_change(self):
+        # crowding distances move from one generation to the next, so a
+        # front that shared its members with the next one would change
+        base = synthetic_dem(8, 8, seed=5)
+        cfg = OptimizerConfig(
+            population_size=12, offspring_size=8, generations=15, rng_seed=3,
+            snapshot_generations=(),
+        )
+        kept = []
+
+        def seen(front):
+            members = [(m.plan.copy(), m.objectives, m.rank, m.crowding, m.born) for m in front.members]
+            rows = (front.plans, front.objectives, front.born, front.crowding)
+            return [a.copy() for a in rows], members, len(front.history)
+
+        def record(gen, front, stats):
+            assert front.members is front.members
+            kept.append((front, seen(front)))
+
+        archive = run_nsga2(base, HP, CP, cfg, on_generation=record)
+        assert len(kept) == cfg.generations + 1
+        for gen, (front, (rows, members, history)) in enumerate(kept):
+            now_rows, now_members, now_history = seen(front)
+            assert [a.tobytes() for a in now_rows] == [a.tobytes() for a in rows]
+            assert [a.dtype for a in now_rows] == [a.dtype for a in rows]
+            assert history == now_history == gen + 1
+            assert len(now_members) == len(members)
+            for (plan, *fields), (now_plan, *now_fields) in zip(members, now_members):
+                assert plan.tobytes() == now_plan.tobytes()
+                assert fields == now_fields
+        # crowding did move between generations, so the check above bites
+        assert any(
+            len(a.crowding) == len(b.crowding) and not np.array_equal(a.crowding, b.crowding)
+            for (a, _), (b, _) in zip(kept, kept[1:])
+        )
+        # the returned front equals the last one handed out, with arrays of its own
+        last = kept[-1][0]
+        for mine, theirs in zip(
+            (archive.plans, archive.objectives, archive.born, archive.crowding),
+            (last.plans, last.objectives, last.born, last.crowding),
+        ):
+            assert mine.base is None and mine.tobytes() == theirs.tobytes()
+
+    def test_handed_out_rows_are_read_only(self):
+        def record(gen, front, stats):
+            with pytest.raises(ValueError, match="read-only"):
+                front.plans[0, 0] = 1.0
+            front.members[0].plan[0] = 1.0  # a member's plan is its own copy
+
+        run_nsga2(self.BASE, HP, CP, replace(self.CFG, generations=1), on_generation=record)
+
+    def test_members_are_built_from_rows_on_first_access(self):
+        archive = run_nsga2(self.BASE, HP, CP, self.CFG)
+        assert "members" not in vars(archive)
+        members = archive.members
+        assert archive.members is members
+        assert [m.plan.tobytes() for m in members] == [plan.tobytes() for plan in archive.plans]
+        assert [m.objectives.as_min_array().tolist() for m in members] == archive.objectives.tolist()
+        assert [m.born for m in members] == archive.born.tolist()
+        assert [m.crowding for m in members] == archive.crowding.tolist()
+        assert {m.rank for m in members} == {0}
+        assert archive.objectives_matrix().tobytes() == archive.objectives.tobytes()
 
     def test_history_front_sizes_match_callback(self):
         sizes = []
 
         def record(gen, front, stats):
             assert stats.generation == gen
-            sizes.append((gen, len(front)))
+            sizes.append((gen, len(front.members)))
 
         archive = run_nsga2(self.BASE, HP, CP, self.CFG, on_generation=record)
         assert [(h.generation, h.front_size) for h in archive.history] == sizes
@@ -583,7 +649,7 @@ class TestParallelScoring:
             )
             assert archive.processes == processes
             assert len(fronts) == self.CFG.generations + 1
-            assert all(m.plan.base is None for front in fronts for m in front)
+            assert all(m.plan.base is None for front in fronts for m in front.members)
             assert all(m.plan.base is None for m in archive.members)
 
     def test_process_count_capped_by_largest_batch(self, monkeypatch):
