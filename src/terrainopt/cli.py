@@ -13,28 +13,35 @@ resolved configuration, so a manifest can be fed back as ``--config``.
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 runtime
 error. An input file that cannot be read as text takes the class of its
 role: the config file exits 2, the DEM and a run's artifacts exit 3.
+An output directory that is, or lies under, a file exits 2 before any
+work.
 
-At import this module loads the standard library and
-:mod:`terrainopt.settings` alone, so ``--help`` and usage errors answer
-without importing numpy. Each command binds the numpy-backed names it
-calls (``_PIPELINE``) when it starts, and looks them up as module
-globals when it calls them.
+At import this module loads only the standard library that argparse and
+the configuration schema need, so ``--help`` and usage errors answer
+without importing numpy, :mod:`dataclasses` or :mod:`terrainopt.settings`.
+The settings classes (``_SETTINGS``) and the numpy-backed names
+(``_PIPELINE``) are bound into this module's globals on first use: each
+command binds every one when it starts, the helpers that build or
+format a configuration bind the settings, and the module ``__getattr__``
+binds a name read from outside, so ``from terrainopt.cli import
+RunConfig`` works before any command. The code here looks them up as
+module globals when it calls them.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import math
 import sys
-from dataclasses import dataclass
 from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from .settings import CostParams, HydroParams, OptimizerConfig, _format_value
-
 __all__ = ["main", "RunConfig"]
+
+# The settings classes and the float formatting, bound from
+# terrainopt.settings on first use, so --help and usage errors never
+# import dataclasses (and with it inspect, ast and dis).
+_SETTINGS = ("RunConfig", "HydroParams", "CostParams", "OptimizerConfig", "_format_value")
 
 # The numpy-backed names the commands call, bound into this module's
 # globals from the package on first use, so --help and usage errors never
@@ -56,16 +63,21 @@ _PIPELINE = (
 
 
 def __getattr__(name):
-    if name not in _PIPELINE:
+    if name in _SETTINGS:
+        home = import_module(".settings", __package__)
+    elif name in _PIPELINE:
+        home = import_module(__package__)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(__package__), name)
+    value = globals()[name] = getattr(home, name)
     return value
 
 
-def _bind_pipeline() -> None:
-    """Bind every pipeline name not yet set; a name already set is kept."""
-    for name in _PIPELINE:
-        if name not in globals():
+def _bind(names: tuple[str, ...] = _SETTINGS + _PIPELINE) -> None:
+    """Bind each of ``names`` not yet set; a name already set is kept."""
+    bound = globals()
+    for name in names:
+        if name not in bound:
             __getattr__(name)
 
 
@@ -81,30 +93,6 @@ class ConfigError(Exception):
 
 class InputError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Resolved configuration of one CLI invocation."""
-
-    dem_path: str = ""
-    output_dir: str = "run"
-    hydro: HydroParams = HydroParams()
-    cost: CostParams = CostParams()
-    optimizer: OptimizerConfig = OptimizerConfig()
-    write_snapshot_rasters: bool = False
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    rho: float = 1e-4
-    every_k: int = 10
-
-    def __post_init__(self):
-        # checked here so a bad picking setting fails before any optimization runs
-        if len(self.weights) != 3 or not all(0 < w < math.inf for w in self.weights):
-            raise ValueError("weights must be three finite positive numbers")
-        if not 0 < self.rho < math.inf:
-            raise ValueError("rho must be finite and > 0")
-        if self.every_k < 1:
-            raise ValueError("every_k must be >= 1")
 
 
 def _parse_bool(text: str) -> bool:
@@ -137,9 +125,10 @@ class _Codec(NamedTuple):
     format: Callable[[Any], str]
 
 
+# the formatters look up _format_value when called, since it is bound on first use
 _TEXT = _Codec(str, str)
 _INT = _Codec(int, str)
-_FLOAT = _Codec(float, _format_value)
+_FLOAT = _Codec(float, lambda x: _format_value(x))
 _BOOL = _Codec(_parse_bool, lambda flag: str(flag).lower())
 _INTS = _Codec(_parse_int_tuple, lambda values: ",".join(str(v) for v in values))
 _FLOATS = _Codec(
@@ -222,6 +211,7 @@ _RESERVED_PREFIX = "result_"
 
 def build_run_config(raw: dict[str, str], *, ignore_unknown: bool = False) -> RunConfig:
     """Turn flat key/value strings into a validated RunConfig."""
+    _bind(_SETTINGS)
     fields: dict[str, dict] = {"top": {}, "hydro": {}, "cost": {}, "optimizer": {}}
     for name, text in raw.items():
         if name in _RESERVED_KEYS or name.startswith(_RESERVED_PREFIX):
@@ -266,10 +256,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     raw.update(_flag_values(args))
-    return build_run_config(raw)
+    cfg = build_run_config(raw)
+    _check_output_dir(Path(cfg.output_dir))
+    return cfg
+
+
+def _check_output_dir(path: Path) -> None:
+    """Raise ConfigError where ``path``, or the nearest existing path above it, is not a directory."""
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                where = "" if part == path else f" lies under {part}, which"
+                raise ConfigError(f"output_dir {path}{where} is not a directory")
+            return
 
 
 def _manifest_lines(cfg: RunConfig) -> list[str]:
+    _bind(_SETTINGS)
     lines = []
     for key in _SCHEMA:
         owner = cfg if key.target == "top" else getattr(cfg, key.target)
@@ -327,6 +330,8 @@ def plan_checksum(plan: np.ndarray) -> str:
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> bytes:
     """Write a CSV file; return the bytes written."""
+    import csv
+
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
@@ -361,12 +366,13 @@ def _genome_path(genomes: Path, member_id: int) -> Path:
 
 def _objective_row(row) -> list[str]:
     """The external-sense tokens of one all-minimize objective row (path negated)."""
+    _bind(_SETTINGS)
     path, v_max, cost = row
     return [str(int(-path)), _format_value(v_max), _format_value(cost)]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _bind_pipeline()
+    _bind()
     cfg = _config_from_args(args)
     dem = _load_dem(cfg)
     hp = cfg.hydro
@@ -454,7 +460,7 @@ def _write_picks(
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    _bind_pipeline()
+    _bind()
     cfg = _config_from_args(args)
     dem = _load_dem(cfg)
     # so that the manifest names the DEM from any directory pick runs in
@@ -600,8 +606,11 @@ def _load_archive(run_dir: Path, overrides: dict[str, str]) -> tuple[
     after its pareto.csv row, so the first fault in row order is the one
     reported.
     """
+    import csv
+
     import numpy as np
 
+    _bind()
     manifest = run_dir / "manifest.txt"
     pareto = run_dir / "pareto.csv"
     genomes = run_dir / "genomes"
@@ -643,12 +652,13 @@ def _load_archive(run_dir: Path, overrides: dict[str, str]) -> tuple[
 
 
 def cmd_pick(args: argparse.Namespace) -> int:
-    _bind_pipeline()
+    _bind()
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise InputError(f"run directory not found: {run_dir}")
-    cfg, base, objs, roles, plans, rendered = _load_archive(run_dir, _flag_values(args))
     out_dir = Path(args.out) if args.out else run_dir / "picks"
+    _check_output_dir(out_dir)
+    cfg, base, objs, roles, plans, rendered = _load_archive(run_dir, _flag_values(args))
     rows = _write_picks(out_dir, base, roles, objs, plans, rendered)
     for role, member_id, path_cells, v_max, cost in rows:
         print(f"{role}: id={member_id} path_cells={path_cells} v_max_mps={v_max} cost={cost}")

@@ -1,11 +1,13 @@
 """Settings of the pipeline, and the number formatting of its text outputs.
 
 The three parameter dataclasses (:class:`HydroParams`, :class:`CostParams`
-and :class:`OptimizerConfig`) validate themselves on construction, and
-``_format_value`` writes the shortest decimal that parses back to the
-same float. This module imports the standard library alone, so the CLI
-can parse and check a configuration without loading numpy; the modules
-that use these names import them from here and export them unchanged.
+and :class:`OptimizerConfig`) and :class:`RunConfig`, the resolved
+configuration of one CLI invocation that holds one of each, validate
+themselves on construction, and ``_format_value`` writes the shortest
+decimal that parses back to the same float. This module imports the
+standard library alone, so the CLI can parse and check a configuration
+without loading numpy; the modules that use these names import them from
+here and export them unchanged.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-__all__ = ["HydroParams", "CostParams", "OptimizerConfig"]
+__all__ = ["HydroParams", "CostParams", "OptimizerConfig", "RunConfig"]
 
 
 def _format_value(x: float) -> str:
@@ -133,3 +135,27 @@ class OptimizerConfig:
     def mutation_rate(self, n_var: int) -> float:
         """Per-variable mutation probability for plans of ``n_var`` variables."""
         return self.mutation_probability if self.mutation_probability is not None else 1.0 / n_var
+
+
+@dataclass
+class RunConfig:
+    """Resolved configuration of one CLI invocation."""
+
+    dem_path: str = ""
+    output_dir: str = "run"
+    hydro: HydroParams = HydroParams()
+    cost: CostParams = CostParams()
+    optimizer: OptimizerConfig = OptimizerConfig()
+    write_snapshot_rasters: bool = False
+    weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    rho: float = 1e-4
+    every_k: int = 10
+
+    def __post_init__(self):
+        # checked here so a bad picking setting fails before any optimization runs
+        if len(self.weights) != 3 or not all(0 < w < math.inf for w in self.weights):
+            raise ValueError("weights must be three finite positive numbers")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be finite and > 0")
+        if self.every_k < 1:
+            raise ValueError("every_k must be >= 1")

@@ -119,6 +119,25 @@ def genome_loads(monkeypatch):
     return loads
 
 
+@pytest.fixture(params=["file", "under-file"])
+def blocked_out(request, tmp_path):
+    """An --out path that is an existing file, or lies under one."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    return blocker if request.param == "file" else blocker / "sub" / "dir"
+
+
+def assert_output_dir_refused(argv, out, monkeypatch, capsys, stage):
+    """``main(argv)`` exits 2 naming output_dir and ``out``, before ``cli.<stage>`` runs."""
+    calls = []
+    monkeypatch.setattr(cli, stage, lambda *args: calls.append(stage))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: output_dir {out}"), err
+    assert "not a directory" in err
+    assert calls == []
+
+
 def assert_same_files(out_dir, reference_dir):
     names = sorted(path.name for path in reference_dir.iterdir())
     assert sorted(path.name for path in out_dir.iterdir()) == names
@@ -234,6 +253,12 @@ class TestAnalyze:
 
     def test_missing_dem_flag_is_config_error(self, capsys):
         assert main(["analyze"]) == 2
+
+    def test_output_dir_in_the_way_of_a_file_is_config_error(
+        self, east_plane_asc, blocked_out, monkeypatch, capsys
+    ):
+        argv = ["analyze", "--dem", str(east_plane_asc), "--out", str(blocked_out)]
+        assert_output_dir_refused(argv, blocked_out, monkeypatch, capsys, "fill_depressions")
 
     def test_unknown_config_key_is_config_error(self, tmp_path, east_plane_asc, capsys):
         cfg = tmp_path / "run.cfg"
@@ -519,6 +544,12 @@ class TestOptimize:
         assert main(["optimize", "--config", "run#1/manifest.txt"]) == 0
         assert (tmp_path / "run#1" / "pareto.csv").exists()
         assert not (tmp_path / "run").exists()
+
+    def test_output_dir_in_the_way_of_a_file_is_config_error(
+        self, east_plane_asc, blocked_out, monkeypatch, capsys
+    ):
+        argv = ["optimize", "--dem", str(east_plane_asc), "--out", str(blocked_out)]
+        assert_output_dir_refused(argv, blocked_out, monkeypatch, capsys, "run_nsga2")
 
     def test_zero_plan_row_present(self, small_run):
         _, run_dir = small_run
@@ -861,6 +892,13 @@ class TestPick:
         (run_dir / "pareto.csv").unlink()
         assert main(["pick", str(run_dir), "--out", str(run_dir / "x")]) == 3
         assert "missing run artifact" in capsys.readouterr().err
+
+    def test_output_dir_in_the_way_of_a_file_is_config_error(
+        self, small_run, blocked_out, monkeypatch, capsys
+    ):
+        _, run_dir = small_run
+        argv = ["pick", str(run_dir), "--out", str(blocked_out)]
+        assert_output_dir_refused(argv, blocked_out, monkeypatch, capsys, "_load_archive")
 
     def test_missing_run_dir(self, tmp_path):
         assert main(["pick", str(tmp_path / "ghost")]) == 3

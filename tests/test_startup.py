@@ -54,6 +54,18 @@ def probe(script, *args):
     )
 
 
+# a run small enough to finish in well under a second
+TINY_RUN = ("--population", "4", "--offspring", "2", "--generations", "1")
+
+
+def cli_process(*args):
+    """The CLI in a fresh interpreter with every warning an error."""
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "terrainopt.cli", *map(str, args)],
+        env=ENV, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_package_and_cli_import_without_numpy():
     done = probe(BLOCK_NUMPY + "import terrainopt, terrainopt.cli, terrainopt.settings\n")
     assert done.returncode == 0, done.stderr
@@ -83,14 +95,74 @@ def test_help_and_usage_errors_without_numpy(argv, code):
     assert (normal.stdout if code == 0 else normal.stderr).startswith("usage: terrainopt")
 
 
-def test_help_leaves_hashlib_unloaded():
-    # only plan_checksum needs hashlib, whose import loads OpenSSL's _hashlib
+# modules help and usage errors never need: hashlib loads OpenSSL's _hashlib,
+# dataclasses loads inspect (and with it ast, dis and tokenize), and the
+# settings module builds its classes with dataclasses
+UNNEEDED_BY_HELP = ("hashlib", "dataclasses", "inspect", "csv", "terrainopt.settings")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["optimize", "--help"], ["optimize", "--no-such-flag"]], ids=" ".join
+)
+def test_help_and_usage_errors_leave_unneeded_modules_unloaded(argv):
     done = probe(
         "import sys\nfrom terrainopt.cli import main\n"
-        "try:\n    main(['--help'])\nexcept SystemExit:\n    pass\n"
-        "assert 'hashlib' not in sys.modules\n"
+        "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+        f"loaded = [name for name in {UNNEEDED_BY_HELP!r} if name in sys.modules]\n"
+        "assert not loaded, loaded\n",
+        *argv,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_run_config_builds_before_any_command():
+    done = probe(
+        "from terrainopt.cli import RunConfig, build_run_config\n"
+        "import terrainopt.settings\n"
+        "assert RunConfig is terrainopt.settings.RunConfig\n"
+        "assert build_run_config({}) == RunConfig()\n"
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_config_helpers_before_any_command(tmp_path):
+    # each helper that builds or formats a configuration, as a process's first call
+    dem_path, run_dir = tmp_path / "dem.asc", tmp_path / "run"
+    terrainopt.save_ascii_grid(dem_path, terrainopt.synthetic_dem(6, 6, seed=1))
+    assert cli_process("optimize", "--dem", dem_path, "--out", run_dir, *TINY_RUN).returncode == 0
+    calls = {
+        "config_from_args": (
+            "import argparse\n"
+            "cfg = cli._config_from_args(argparse.Namespace(config=None, rho='0.5'))\n"
+            "assert cfg.rho == 0.5, cfg\n"
+        ),
+        "manifest_lines": "assert 'rho = 0.0001' in cli._manifest_lines(cli.RunConfig())\n",
+        "objective_row": "assert cli._objective_row([-3.0, 0.5, 2.0]) == ['3', '0.5', '2']\n",
+        "load_archive": (
+            "from pathlib import Path\n"
+            "cfg, base, objs, roles, plans, rendered = cli._load_archive(Path(sys.argv[1]), {})\n"
+            "assert cfg.optimizer.population_size == 4 and len(objs) == len(plans) >= 1\n"
+        ),
+    }
+    for name, call in calls.items():
+        done = probe("import sys\nimport terrainopt.cli as cli\n" + call, str(run_dir))
+        assert done.returncode == 0, (name, done.stderr)
+
+
+def test_each_command_runs_first_in_its_process(tmp_path):
+    dem_path, run_dir = tmp_path / "dem.asc", tmp_path / "run"
+    terrainopt.save_ascii_grid(dem_path, terrainopt.synthetic_dem(6, 6, seed=1))
+    for args in (
+        ("analyze", "--dem", dem_path, "--out", tmp_path / "analysis"),
+        ("optimize", "--dem", dem_path, "--out", run_dir, *TINY_RUN),
+        ("pick", run_dir, "--out", tmp_path / "picks"),
+    ):
+        done = cli_process(*args)
+        assert done.returncode == 0, (args[0], done.stderr)
+    assert (tmp_path / "analysis" / "velocity.asc").is_file()
+    assert (tmp_path / "picks" / "summary.csv").read_bytes() == (
+        run_dir / "picks" / "summary.csv"
+    ).read_bytes()
 
 
 def test_wrapped_names_resolve_before_any_command():
@@ -164,6 +236,9 @@ def test_settings_names_are_one_object_on_every_path():
         "assert terrainopt.CostParams is terrainopt.objectives.CostParams is settings.CostParams\n"
         "assert terrainopt.OptimizerConfig is terrainopt.evolve.OptimizerConfig is settings.OptimizerConfig\n"
         "assert terrainopt.raster._format_value is settings._format_value\n"
+        "import terrainopt.cli\n"
+        "assert terrainopt.cli.RunConfig is settings.RunConfig\n"
+        "assert terrainopt.cli._format_value is settings._format_value\n"
     )
     assert done.returncode == 0, done.stderr
 
