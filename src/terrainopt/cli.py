@@ -14,7 +14,9 @@ Exit codes: 0 success, 2 configuration error, 3 input error, 4 runtime
 error. An input file that cannot be read as text takes the class of its
 role: the config file exits 2, the DEM and a run's artifacts exit 3.
 An output directory that is, or lies under, a file exits 2 before any
-work.
+work, and so does a file where ``optimize`` will write a directory of
+its run (``genomes/``, ``picks/``, ``snapshots/`` and each
+``snapshots/genNNNN/`` it fills).
 
 At import this module loads only the standard library that argparse and
 the configuration schema need, so ``--help`` and usage errors answer
@@ -462,14 +464,24 @@ def _write_picks(
 def cmd_optimize(args: argparse.Namespace) -> int:
     _bind()
     cfg = _config_from_args(args)
+    run_dir = Path(cfg.output_dir)
+    genomes_dir, snap_dir = run_dir / "genomes", run_dir / "snapshots"
+    opt = cfg.optimizer
+    # the snapshot generations that the run reaches
+    snapshots = set(opt.snapshot_generations) & set(range(opt.generations + 1))
+    # every directory that the run will write, checked before any work
+    subdirs = [genomes_dir, run_dir / "picks"]
+    if snapshots:
+        subdirs.append(snap_dir)
+    if cfg.write_snapshot_rasters:
+        subdirs += [snap_dir / f"gen{gen:04d}" for gen in sorted(snapshots)]
+    for path in subdirs:
+        _check_output_dir(path)
     dem = _load_dem(cfg)
     # so that the manifest names the DEM from any directory pick runs in
     cfg.dem_path = str(Path(cfg.dem_path).absolute())
-    run_dir = Path(cfg.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    genomes_dir = run_dir / "genomes"
     genomes_dir.mkdir(exist_ok=True)
-    snapshots = set(cfg.optimizer.snapshot_generations)
     manifest = run_dir / "manifest.txt"
 
     def on_generation(gen: int, front: ParetoArchive, stats: GenerationStats) -> None:
@@ -480,7 +492,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         if gen in snapshots:
-            snap_dir = run_dir / "snapshots"
             snap_dir.mkdir(exist_ok=True)
             _write_csv(
                 snap_dir / f"front_gen{gen:04d}.csv",
@@ -529,7 +540,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             # bounds and prices that let a plan's cost pass the float range
             raise ConfigError(f"{exc}; narrow the bounds or lower the prices") from exc
         raise
-    opt = cfg.optimizer
     _write_manifest(
         manifest,
         cfg,

@@ -23,9 +23,10 @@ Each of these is a thin wrapper over a private kernel on plain arrays: a
 path, slope and velocity kernels also take as a single (h, w) plane. So
 :func:`~terrainopt.objectives.evaluate` scores a stack of plans with one
 array program per stage, and no stage loops over the planes. The fill
-keeps its working arrays, and the slope kernel its cell sets of the last
-mask, per thread from one call to the next: the calls that score a run
-repeat one stack shape and one mask, and so map no fresh memory for them.
+keeps its working arrays, and the fill and slope kernels the cell sets of
+the last mask (:func:`_mask_cells`), per thread from one call to the
+next: the calls that score a run repeat one stack shape and one mask, and
+so map no fresh memory and scan no neighbors for them.
 """
 from __future__ import annotations
 
@@ -114,14 +115,6 @@ def _neighbors(padded: np.ndarray):
         yield padded[..., 1 + dr : h + 1 + dr, 1 + dc : w + 1 + dc]
 
 
-def _edge_and_nodata_adjacent(valid: np.ndarray) -> np.ndarray:
-    """Valid cells on the grid perimeter or 8-adjacent to a nodata cell."""
-    near = np.zeros(valid.shape, dtype=bool)
-    for outside in _neighbors(_pad(~valid, True)):
-        near |= outside
-    return near & valid
-
-
 def _sweep_buffers(b: int, h: int, w: int):
     """Inf-filled sweep buffers for a (B, h, w) stack, and four (B, h, w) views of them.
 
@@ -177,7 +170,7 @@ def _sweep_down(water: np.ndarray, z: np.ndarray):
 
 
 # each thread's working arrays for the kernels below, kept from one call to
-# the next (see _fill_buffers and _horn_patch)
+# the next (see _fill_buffers and _mask_cells)
 _scratch = threading.local()
 
 
@@ -372,7 +365,7 @@ def fill_depressions(dem: Grid, epsilon: float = 1e-5) -> Grid:
         raise ValueError("epsilon must be finite and >= 0")
     if dem.n_valid == 0:
         raise ValueError("grid has no valid cells")
-    seeds = _edge_and_nodata_adjacent(dem.valid_mask)
+    seeds = _mask_cells(dem.valid_mask)[0]
     filled = _fill(dem.values[None], dem.valid_mask, seeds, float(epsilon) + 0.0)[0]
     return dem.with_values(filled)
 
@@ -507,8 +500,12 @@ def flow_accumulation(ff: FlowField) -> Grid:
 
 
 def _valid_max(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Each plane's maximum over the valid cells."""
-    return a[..., valid].max(axis=-1)
+    """Each plane's maximum over the valid cells, with no copy of them.
+
+    Nodata cells read as -inf, so whatever they hold, a sentinel above
+    every valid value included, never wins.
+    """
+    return np.where(valid, a, -np.inf).max(axis=(-2, -1))
 
 
 def _flow_path(acc: np.ndarray, valid: np.ndarray, fraction: float):
@@ -541,16 +538,19 @@ def extract_flow_path(acc: Grid, fraction: float) -> tuple[np.ndarray, int]:
     return mask, int(mask.sum())
 
 
-def _horn_patch(valid: np.ndarray):
-    """The cells of mask ``valid`` that miss a Horn neighbor, and where each takes its eight.
+def _mask_cells(valid: np.ndarray):
+    """The cell sets of mask ``valid`` that the fill and Horn's slope take, read-only.
 
-    Returns the flat indices of the cells, valid or not, with a neighbor
-    outside the grid or at nodata, and an (8, n) array of flat indices, in
-    NEIGHBOR_OFFSETS order: each neighbor's own, or the cell's where that
-    neighbor is missing. Kept per thread for the last mask seen, as
-    evaluate slopes every stack of a run over the same one.
+    Returns the fill's seeds, the valid cells on the grid perimeter or
+    8-adjacent to a nodata cell, as an (h, w) mask; the flat indices of
+    the cells, valid or not, with a neighbor outside the grid or at
+    nodata (Horn's patch); and an (8, n) array of flat indices, in
+    NEIGHBOR_OFFSETS order, where each patch cell takes its eight: each
+    neighbor's own, or the cell's where that neighbor is missing. One
+    neighbor scan finds all three. Kept per thread for the last mask seen,
+    as evaluate fills and slopes every stack of a run over the same one.
     """
-    last = getattr(_scratch, "horn", None)
+    last = getattr(_scratch, "mask", None)
     if last is not None and np.array_equal(last[0], valid):
         return last[1:]
     h, w = valid.shape
@@ -560,8 +560,11 @@ def _horn_patch(valid: np.ndarray):
     sources = np.array(
         [np.where(out, index, nb)[patch] for out, nb in zip(missing, _neighbors(_pad(index, 0)))]
     )
-    _scratch.horn = (valid.copy(), np.flatnonzero(patch), sources.reshape(8, -1))
-    return _scratch.horn[1:]
+    cells = (patch & valid, np.flatnonzero(patch), sources.reshape(8, -1))
+    for a in cells:
+        a.setflags(write=False)
+    _scratch.mask = (valid.copy(), *cells)
+    return cells
 
 
 def _horn_gradient(e, se, s, sw, w_, nw, n_, ne, denom, out=None):
@@ -590,13 +593,13 @@ def _horn_slope(z: np.ndarray, valid: np.ndarray, cell_size: float) -> np.ndarra
     """Horn slope of elevations ``z`` (see :func:`slope`); values at nodata cells carry no meaning.
 
     Cells off the edge are taken from the plain neighbor views, then the
-    cells that miss a neighbor (:func:`_horn_patch`) are taken again with
-    the centre in its place. A valid cell is non-finite only where the
-    gradient lies past the float range.
+    cells that miss a neighbor (the patch of :func:`_mask_cells`) are
+    taken again with the centre in its place. A valid cell is non-finite
+    only where the gradient lies past the float range.
     """
     denom = 8.0 * cell_size
     grad = np.empty(z.shape)
-    patch, sources = _horn_patch(valid)
+    _, patch, sources = _mask_cells(valid)
     flat = z.reshape(z.shape[:-2] + (-1,))
     with np.errstate(over="ignore", invalid="ignore"):
         _horn_gradient(

@@ -23,11 +23,11 @@ import numpy as np
 from .hydrology import (
     _accumulate,
     _d8_codes,
-    _edge_and_nodata_adjacent,
     _fill,
     _flow_path,
     _horn_slope,
     _manning_velocity,
+    _mask_cells,
 )
 # The Grid-level stages: evaluate runs a plan through them only to raise the
 # error of the stage where it fails, and perfbench's tracer looks these names
@@ -150,9 +150,9 @@ def evaluate(
     scored in slices of at most ``2**15`` cells, each stage one array
     program over the slice, and no stage loops over its plans. The fill
     reuses its thread's working arrays once a slice shape repeats, and the
-    slope its cell sets of the base's mask, so scoring one base over and
-    over maps no fresh memory for them; threads scoring at once share
-    none.
+    fill and the slope the cell sets of the base's mask, so scoring one
+    base over and over maps no fresh memory and scans no neighbors for
+    them; threads scoring at once share none.
 
     Each modified DEM is depression-filled before routing, then: flow-path
     length from thresholded D8 accumulation, maximum Manning velocity from
@@ -198,13 +198,15 @@ def _evaluate_stack(base, plans, hp, cp) -> list[ObjectiveVector] | None:
     # (OverflowError) instead of in apply_plan (ValueError)
     if not np.isfinite(z).all():
         return None
-    filled = _fill(z, valid, _edge_and_nodata_adjacent(valid), float(hp.fill_epsilon))
+    filled = _fill(z, valid, _mask_cells(valid)[0], float(hp.fill_epsilon))
     del z
     acc = _accumulate(_d8_codes(filled, valid, base.cell_size))
     path_cells = _flow_path(acc, valid, hp.accumulation_threshold_fraction)[0].sum(axis=(1, 2))
     s = _horn_slope(filled, valid, base.cell_size)
-    v = _manning_velocity(s, acc, valid, hp, cp.cell_area)[:, valid]
-    if not (np.isfinite(s[:, valid]).all() and np.isfinite(v).all()):
+    # the velocity is +0.0 at every nodata cell, so whole planes give its
+    # gate and maximum
+    v = _manning_velocity(s, acc, valid, hp, cp.cell_area)
+    if not ((np.isfinite(s) | ~valid).all() and np.isfinite(v).all()):
         return None
     # earthwork_cost plan by plan, one sum each, under one errstate for the stack
     with np.errstate(over="ignore"):
@@ -213,7 +215,7 @@ def _evaluate_stack(base, plans, hp, cp) -> list[ObjectiveVector] | None:
         return None
     return [
         ObjectiveVector(int(n), float(v_max), cost)
-        for n, v_max, cost in zip(path_cells, v.max(axis=1), costs)
+        for n, v_max, cost in zip(path_cells, v.max(axis=(1, 2)), costs)
     ]
 
 

@@ -551,6 +551,22 @@ class TestOptimize:
         argv = ["optimize", "--dem", str(east_plane_asc), "--out", str(blocked_out)]
         assert_output_dir_refused(argv, blocked_out, monkeypatch, capsys, "run_nsga2")
 
+    @pytest.mark.parametrize("subdir", ["genomes", "picks", "snapshots", "snapshots/gen0002"])
+    def test_file_where_the_run_writes_a_directory_is_config_error(
+        self, tmp_path, east_plane_asc, subdir, monkeypatch, capsys
+    ):
+        run_dir = tmp_path / "run"
+        blocker = run_dir / subdir
+        blocker.parent.mkdir(parents=True)
+        blocker.write_text("not a directory\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"dem_path = {east_plane_asc}\noutput_dir = {run_dir}\ngenerations = 2\n"
+            "snapshot_generations = 2,9\nwrite_snapshot_rasters = true\n"
+        )
+        argv = ["optimize", "--config", str(cfg)]
+        assert_output_dir_refused(argv, blocker, monkeypatch, capsys, "run_nsga2")
+
     def test_zero_plan_row_present(self, small_run):
         _, run_dir = small_run
         costs = [float(r["cost"]) for r in read_csv(run_dir / "pareto.csv")]

@@ -408,7 +408,14 @@ class TestOffspringChunks:
         assert [chunk.shape for chunk in chunks] == [(k, n_var) for k in sizes]
         want = np.array(list(islice(serial_children(population, cfg, theirs), size)))
         assert np.concatenate(chunks).tobytes() == want.tobytes()
-        assert ours.random() == theirs.random()  # the same draws were taken
+        # the same draws were taken: the PCG64 state, and the 32-bit half that
+        # integers keeps buffered, which a stale uinteger under has_uint32 = 0
+        # does not hold
+        mine, serial = ours.bit_generator.state, theirs.bit_generator.state
+        assert mine["state"] == serial["state"]
+        assert mine["has_uint32"] == serial["has_uint32"]
+        if mine["has_uint32"]:
+            assert mine["uinteger"] == serial["uinteger"]
 
 
 class TestRunLoop:

@@ -778,6 +778,17 @@ class TestExtractFlowPath:
         assert float(acc.values.max()) == 718.0
         assert accumulation_threshold(acc, 0.02) == 14.36
 
+    # a sentinel below every valid value, and one above
+    @pytest.mark.parametrize("sentinel", [-9999.0, 1.7e308])
+    def test_threshold_reads_only_valid_cells(self, sentinel):
+        rng = np.random.default_rng(45)
+        values = rng.integers(0, 50, size=(7, 7)).astype(float)
+        nodata = rng.random((7, 7)) < 0.2
+        values[nodata] = sentinel
+        acc = Grid(values, 10.0, nodata_sentinel=sentinel, valid_mask=~nodata)
+        best = max(values[r, c] for r in range(7) for c in range(7) if not nodata[r, c])
+        assert accumulation_threshold(acc, 0.25) == 0.25 * best
+
     def test_half_fraction_chain(self):
         g = Grid(np.array([[3.0, 2.0, 1.0]]), 10.0)
         acc = flow_accumulation(flow_directions(g))
@@ -967,11 +978,13 @@ class TestMaxVelocity:
     def test_single_cell_grid(self):
         assert max_velocity(Grid(np.array([[1.483]]), 10.0)) == 1.483
 
-    def test_equals_linear_scan(self):
+    # a sentinel below every valid value, and one above
+    @pytest.mark.parametrize("sentinel", [-9999.0, 1.7e308])
+    def test_equals_linear_scan(self, sentinel):
         rng = np.random.default_rng(44)
         values = rng.uniform(0, 3, size=(7, 7))
-        values[rng.random((7, 7)) < 0.2] = -9999.0
-        g = Grid(values, 10.0)
+        values[rng.random((7, 7)) < 0.2] = sentinel
+        g = Grid(values, 10.0, nodata_sentinel=sentinel)
         if g.n_valid:
             best = max(
                 g.values[r, c]

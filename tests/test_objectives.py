@@ -38,7 +38,8 @@ from terrainopt import (
 )
 import terrainopt
 from terrainopt.cli import main
-from terrainopt.hydrology import _d8_codes, _edge_and_nodata_adjacent, _fill, _horn_slope
+from terrainopt import hydrology
+from terrainopt.hydrology import _d8_codes, _fill, _horn_slope, _mask_cells
 from terrainopt.objectives import _SLICE_CELLS, _applied
 
 HP = HydroParams()
@@ -588,7 +589,7 @@ def reuse_digest(name):
     """SHA-256 of the fill, D8 codes, Horn slope and scores of problem ``name``."""
     base, plans, epsilon = reuse_problem(name)
     valid = base.valid_mask
-    filled = _fill(_applied(base, plans), valid, _edge_and_nodata_adjacent(valid), epsilon)
+    filled = _fill(_applied(base, plans), valid, _mask_cells(valid)[0], epsilon)
     digest = hashlib.sha256()
     digest.update(filled.tobytes())
     digest.update(_d8_codes(filled, valid, base.cell_size).tobytes())
@@ -625,6 +626,26 @@ class TestReusedWorkingArrays:
     def test_each_problem_scores_as_in_a_fresh_process(self, fresh):
         for name in "ABACBA":
             assert reuse_digest(name) == fresh[name], name
+
+    def test_a_second_evaluate_of_one_base_scans_no_neighbors(self, monkeypatch):
+        # the fill's seeds and Horn's patch come from one neighbor scan of the
+        # base's mask, kept per thread, so only the first evaluate makes it
+        base, plans, epsilon = reuse_problem("A")
+        hp = HydroParams(fill_epsilon=epsilon)
+        monkeypatch.setattr(hydrology, "_scratch", threading.local())
+        scans = []
+        neighbors = hydrology._neighbors
+
+        def counted(padded):
+            scans.append(padded.shape)
+            return neighbors(padded)
+
+        monkeypatch.setattr(hydrology, "_neighbors", counted)
+        first = evaluate(base, plans, hp, CP)
+        assert scans
+        scans.clear()
+        assert bits(evaluate(base, plans, hp, CP)) == bits(first)
+        assert scans == []
 
     def test_threads_at_once_score_as_one(self, fresh):
         # four threads on two CPUs, switching as often as the interpreter can
